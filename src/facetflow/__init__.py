@@ -11,8 +11,8 @@ difference-quotient curvature (`resolvent`), explicit evolution schemes
 
 from .grid import (Grid, GridFunction, GridVectorField, GridMismatchError,
                    gradient_fd, divergence_fd, gradient_centered,
-                   hessian_centered, erode, dilate, mollify,
-                   lipschitz_constant, torus_distance)
+                   erode, dilate, mollify, lipschitz_constant,
+                   torus_distance)
 from .anisotropy import (AnisotropyModel, EuclideanAnisotropy,
                          EllipticAnisotropy, PowerFourAnisotropy,
                          MollifiedAnisotropy, SingularGradientError,
@@ -20,8 +20,8 @@ from .anisotropy import (AnisotropyModel, EuclideanAnisotropy,
                          k_operator, mollify_anisotropy, make_anisotropy)
 from .conjugate import (SampledConvexFunction, legendre_transform,
                         BarrierFamily, build_barrier, beta_Aq,
-                        choose_parameters, barrier_upper, barrier_lower,
-                        BarrierConstructionError, ParameterError)
+                        choose_parameters, BarrierConstructionError,
+                        ParameterError)
 from .facets import (PairOfSets, PairDisjointError, SeparationError,
                      rho_neighborhood, signed_distance, mask_distance,
                      pair_of, pair_leq, pair_reverse, pair_nbhd,
@@ -30,8 +30,7 @@ from .facets import (PairOfSets, PairDisjointError, SeparationError,
                      ordered_support_function)
 from .resolvent import (ResolventConfig, ResolventReport, ConvergenceError,
                         total_variation_energy, resolve_singular,
-                        resolve_regularized, resolvent_bruteforce,
-                        curvature_dq, curvature_extrapolated, essinf_ball,
+                        resolvent_bruteforce, curvature_dq, essinf_ball,
                         esssup_ball, facet_interior, monotonicity_check)
 from .evolution import (SpeedLaw, StabilityError, tv_flow, graph_flow,
                         driven_flow, make_speed_law, EvolutionConfig,

@@ -42,6 +42,8 @@ class AnisotropyModel:
     name = "base"
 
     def __init__(self, n: int, lambda0: float):
+        if n not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {n}")
         self.n = n
         self.lambda0 = float(lambda0)
 
@@ -116,12 +118,14 @@ class EllipticAnisotropy(AnisotropyModel):
         n = M.shape[0]
         if M.shape != (n, n) or not np.allclose(M, M.T):
             raise ValueError("M must be symmetric")
-        eigs = np.linalg.eigvalsh(M)
+        eigs, vecs = np.linalg.eigh(M)
         if eigs[0] <= 0:
             raise ValueError("M must be positive definite")
         super().__init__(n, float(np.sqrt(eigs[0])))
         self.M = M
         self.Minv = np.linalg.inv(M)
+        self._eigs = eigs
+        self._eigvecs = vecs
 
     def eval(self, p):
         p = _as_points(p, self.n)
@@ -147,17 +151,19 @@ class EllipticAnisotropy(AnisotropyModel):
         return np.sqrt(np.einsum("...i,ij,...j->...", x, self.Minv, x))
 
     def wulff_project(self, z):
-        # Projection onto {x : x^T M^-1 x <= 1}; multiplier found by
-        # vectorized bisection on the monotone constraint residual.
+        # Projection onto {x : x^T M^-1 x <= 1}, in the eigenbasis of M
+        # where the set is an axis-aligned ellipse; multiplier found by
+        # vectorized bisection on the monotone constraint residual.  For a
+        # diagonal M the eigenbasis is a signed permutation, so the
+        # rotations below are exact.
         z = _as_points(z, self.n)
-        if not np.allclose(self.M, np.diag(np.diag(self.M))):
-            return _project_generic(self, z)
-        m = np.diag(self.M)
-        g = np.einsum("...i,i->...", z**2, 1.0 / m)
+        m = self._eigs
+        y = z @ self._eigvecs
+        g = np.einsum("...i,i->...", y**2, 1.0 / m)
         outside = g > 1.0
         if not np.any(outside):
             return z.copy()
-        zo = z[outside]
+        zo = y[outside]
         lo = np.zeros(zo.shape[0])
         hi = np.full(zo.shape[0], 1.0)
         # p_i = z_i / (1 + lam/m_i); grow hi until feasible
@@ -173,7 +179,7 @@ class EllipticAnisotropy(AnisotropyModel):
             hi = np.where(r > 0, hi, mid)
         lam = 0.5 * (lo + hi)
         out = z.copy()
-        out[outside] = zo / (1.0 + lam[:, None] / m)
+        out[outside] = (zo / (1.0 + lam[:, None] / m)) @ self._eigvecs.T
         return out
 
 
@@ -249,11 +255,6 @@ class PowerFourAnisotropy(AnisotropyModel):
         out = z.copy()
         out[outside] = sgn * comp(0.5 * (lo + hi))
         return out
-
-
-def _project_generic(model, z):
-    raise NotImplementedError(
-        f"no Wulff projection available for model {model.name}")
 
 
 def dual_norm(W: AnisotropyModel, x, rel_tol: float = 1e-8) -> float:

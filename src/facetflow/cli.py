@@ -57,85 +57,56 @@ def fmt(x) -> str:
 SCENARIO_KINDS = ("anisotropy-check", "resolvent", "curvature", "monotonicity",
                   "evolve", "compare", "barrier", "viscosity-test")
 
-# documented schema: key -> (type, allowed scenario kinds or None for all)
+# documented schema, one row per key: its type, the scenario kinds that
+# accept it (None for all), its default (None: left out of the parsed
+# config unless set) and its allowed values (None for any, a tuple or
+# range of admissible values, or _POSITIVE).  Float values must be finite.
+_POSITIVE = "positive"
+_RESOLVE = ("resolvent", "curvature", "monotonicity", "viscosity-test")
+_FLOW = ("evolve", "compare")
+_SPEED = ("evolve", "compare", "barrier", "viscosity-test")
 _SCHEMA = {
-    "scenario": (str, None),
-    "seed": (int, None),
-    "out.dir": (str, None),
-    "grid.n": (int, None),
-    "grid.N": (int, None),
-    "anisotropy.model": (str, None),
-    "anisotropy.diag": (str, None),
-    "init.kind": (str, None),
-    "init.slope": (float, None),
-    "init.amplitude": (float, None),
-    "init.radius": (float, None),
-    "init.level": (float, None),
-    "check.samples": (int, ("anisotropy-check",)),
-    "resolvent.a": (float, ("resolvent", "monotonicity", "viscosity-test")),
-    "resolvent.max-iter": (int, ("resolvent", "curvature", "monotonicity",
-                                 "viscosity-test")),
-    "resolvent.rel-gap-tol": (float, ("resolvent", "curvature", "monotonicity",
-                                      "viscosity-test")),
-    "curvature.a": (float, ("curvature",)),
-    "curvature.levels": (int, ("curvature",)),
-    "check.curvature-rel-tol": (float, ("curvature",)),
-    "mono.pairs": (int, ("monotonicity",)),
-    "check.violation-tol": (float, ("monotonicity",)),
-    "evolve.m": (float, ("evolve", "compare")),
-    "evolve.t-end": (float, ("evolve", "compare")),
-    "evolve.cfl": (float, ("evolve", "compare")),
-    "evolve.speed": (str, ("evolve", "compare", "barrier", "viscosity-test")),
-    "evolve.scale": (float, ("evolve", "compare", "barrier", "viscosity-test")),
-    "evolve.forcing": (float, ("evolve", "compare")),
-    "evolve.record-every": (int, ("evolve", "compare")),
-    "check.peak-law": (int, ("evolve",)),
-    "check.lipschitz-slack": (float, ("evolve", "compare")),
-    "compare.pairs": (int, ("compare",)),
-    "check.crossing-cells": (float, ("compare",)),
-    "barrier.delta": (float, ("barrier",)),
-    "barrier.K": (float, ("barrier",)),
-    "barrier.samples": (int, ("barrier",)),
-    "barrier.t": (float, ("barrier",)),
-    "viscosity.radius": (float, ("viscosity-test",)),
-}
-
-_DEFAULTS = {
-    "seed": 1234,
-    "out.dir": "facetflow-out",
-    "grid.n": 1,
-    "grid.N": 128,
-    "anisotropy.model": "euclidean",
-    "init.kind": "tent",
-    "init.slope": 0.5,
-    "init.amplitude": 0.1,
-    "init.radius": 0.2,
-    "init.level": 0.0,
-    "check.samples": 200,
-    "resolvent.a": 0.005,
-    "resolvent.max-iter": 100000,
-    "resolvent.rel-gap-tol": 1e-10,
-    "curvature.a": 0.001,
-    "curvature.levels": 2,
-    "check.curvature-rel-tol": 0.1,
-    "mono.pairs": 5,
-    "check.violation-tol": 1e-6,
-    "evolve.m": 16.0,
-    "evolve.t-end": 0.001,
-    "evolve.cfl": 0.4,
-    "evolve.speed": "tv_flow",
-    "evolve.scale": 1.0,
-    "evolve.forcing": 0.0,
-    "evolve.record-every": 0,
-    "check.peak-law": 0,
-    "check.lipschitz-slack": 1e-3,
-    "compare.pairs": 3,
-    "check.crossing-cells": 10.0,
-    "barrier.delta": 0.5,
-    "barrier.K": 2.0,
-    "barrier.samples": 400,
-    "barrier.t": 0.01,
-    "viscosity.radius": 0.2,
+    "scenario": (str, None, None, None),
+    "seed": (int, None, 1234, None),
+    "out.dir": (str, None, "facetflow-out", None),
+    "grid.n": (int, None, 1, (1, 2)),
+    "grid.N": (int, None, 128, range(8, 4097)),
+    "anisotropy.model": (str, None, "euclidean",
+                         ("euclidean", "elliptic", "l4")),
+    "anisotropy.diag": (str, None, None, None),
+    "init.kind": (str, None, "tent",
+                  ("tent", "sin", "disk", "constant", "random-smooth")),
+    "init.slope": (float, None, 0.5, None),
+    "init.amplitude": (float, None, 0.1, None),
+    "init.radius": (float, None, 0.2, None),
+    "init.level": (float, None, 0.0, None),
+    "check.samples": (int, ("anisotropy-check",), 200, None),
+    "resolvent.a": (float, ("resolvent", "monotonicity", "viscosity-test"),
+                    0.005, _POSITIVE),
+    "resolvent.max-iter": (int, _RESOLVE, 100000, None),
+    "resolvent.rel-gap-tol": (float, _RESOLVE, 1e-10, None),
+    "curvature.a": (float, ("curvature",), 0.001, _POSITIVE),
+    "curvature.levels": (int, ("curvature",), 2, None),
+    "check.curvature-rel-tol": (float, ("curvature",), 0.1, None),
+    "mono.pairs": (int, ("monotonicity",), 5, None),
+    "check.violation-tol": (float, ("monotonicity",), 1e-6, None),
+    "evolve.m": (float, _FLOW, 16.0, _POSITIVE),
+    "evolve.t-end": (float, _FLOW, 0.001, _POSITIVE),
+    "evolve.cfl": (float, _FLOW, 0.4, _POSITIVE),
+    "evolve.speed": (str, _SPEED, "tv_flow",
+                     ("tv_flow", "graph_flow", "driven_flow")),
+    "evolve.scale": (float, _SPEED, 1.0, None),
+    "evolve.forcing": (float, _FLOW, 0.0, None),
+    "evolve.record-every": (int, _FLOW, 0, None),
+    "check.peak-law": (int, ("evolve",), 0, None),
+    "check.lipschitz-slack": (float, _FLOW, 1e-3, None),
+    "compare.pairs": (int, ("compare",), 3, None),
+    "check.crossing-cells": (float, ("compare",), 10.0, None),
+    "barrier.delta": (float, ("barrier",), 0.5, _POSITIVE),
+    "barrier.K": (float, ("barrier",), 2.0, _POSITIVE),
+    "barrier.samples": (int, ("barrier",), 400, None),
+    "barrier.t": (float, ("barrier",), 0.01, None),
+    "viscosity.radius": (float, ("viscosity-test",), 0.2, None),
 }
 
 
@@ -151,44 +122,39 @@ def parse_config(text: str) -> dict:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _SCHEMA:
             raise SchemaError(f"line {lineno}: unknown key '{key}'")
-        typ, _kinds = _SCHEMA[key]
+        typ = _SCHEMA[key][0]
         try:
             cfg[key] = typ(val)
         except ValueError as e:
             raise SchemaError(f"line {lineno}: bad value for '{key}': {e}")
+        if typ is float and not np.isfinite(cfg[key]):
+            raise SchemaError(f"line {lineno}: '{key}' must be finite")
     if "scenario" not in cfg:
         raise SchemaError("missing required key 'scenario'")
     kind = cfg["scenario"]
     if kind not in SCENARIO_KINDS:
         raise SchemaError(f"unknown scenario '{kind}'")
     for key in cfg:
-        _typ, kinds = _SCHEMA[key]
+        kinds = _SCHEMA[key][1]
         if kinds is not None and kind not in kinds:
             raise SchemaError(f"key '{key}' not valid for scenario '{kind}'")
-    full = dict(_DEFAULTS)
+    full = {key: default for key, (_t, _k, default, _a) in _SCHEMA.items()
+            if default is not None}
     full.update(cfg)
-    _validate_ranges(full)
+    for key, value in full.items():
+        allowed = _SCHEMA[key][3]
+        if allowed == _POSITIVE:
+            if value <= 0:
+                raise SchemaError(f"{key} must be positive")
+        elif allowed is not None and value not in allowed:
+            raise SchemaError(f"{key} must be one of {_describe(allowed)}")
     return full
 
 
-def _validate_ranges(cfg):
-    if cfg["grid.n"] not in (1, 2):
-        raise SchemaError("grid.n must be 1 or 2")
-    if not 8 <= cfg["grid.N"] <= 4096:
-        raise SchemaError("grid.N out of range [8, 4096]")
-    for key in ("resolvent.a", "curvature.a", "evolve.t-end", "evolve.m",
-                "barrier.delta", "barrier.K"):
-        if cfg[key] <= 0:
-            raise SchemaError(f"{key} must be positive")
-    if cfg["anisotropy.model"] not in ("euclidean", "elliptic", "l4"):
-        raise SchemaError("anisotropy.model must be euclidean, elliptic or l4")
-    if cfg["init.kind"] not in ("tent", "sin", "disk", "constant",
-                                "random-smooth"):
-        raise SchemaError("unknown init.kind")
-    if cfg["evolve.speed"] not in ("tv_flow", "graph_flow", "driven_flow"):
-        raise SchemaError("unknown evolve.speed")
-    if cfg["evolve.cfl"] <= 0:
-        raise SchemaError("evolve.cfl must be positive")
+def _describe(allowed):
+    if isinstance(allowed, range):
+        return f"[{allowed.start}, {allowed.stop - 1}]"
+    return ", ".join(str(v) for v in allowed)
 
 
 def _build_anisotropy(cfg):
@@ -267,7 +233,7 @@ class Manifest:
         lines = ["facetflow-manifest v1", f"version = {__version__}"]
         kind = self.cfg["scenario"]
         for key in sorted(self.cfg):
-            _typ, kinds = _SCHEMA[key]
+            kinds = _SCHEMA[key][1]
             if kinds is None or kind in kinds:
                 lines.append(f"config {key} = {self.cfg[key]}")
         for note in self.failures:
@@ -458,8 +424,7 @@ def _scenario_evolve(cfg, out, man, rng):
     write_snapshot(out / "final.grid", trace.final(), trace.times[-1])
     rows = []
     # a tent of slope s under speed scale c loses height sqrt(2 s c t)
-    scale = speed.xi_scale if speed.xi_scale is not None else 1.0
-    s_eff = cfg["init.slope"] * scale
+    s_eff = cfg["init.slope"] * speed.xi_scale
     for t, st, lip in zip(trace.times, trace.states, trace.lipschitz):
         row = [t, float(np.max(st.values)), float(np.min(st.values)), lip]
         if cfg["check.peak-law"]:

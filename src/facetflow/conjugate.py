@@ -2,9 +2,10 @@
 
 The barrier construction caps large gradients of the regularized density by
 adding a convex function that blows up at a finite gradient bound, then
-passes to the convex conjugate.  The conjugate is evaluated two ways: a
-tabulated transform with a monotone argmax sweep (generic, grid-based), and
-a per-point strictly concave maximization (smooth, used for derivatives).
+passes to the convex conjugate, evaluated per point by a strictly concave
+maximization (smooth, used for derivatives).  The tabulated transform with
+a monotone argmax sweep (generic, grid-based) handles sampled convex
+functions.
 """
 
 from __future__ import annotations
@@ -51,39 +52,6 @@ class SampledConvexFunction:
 
     def axis_nodes(self, i):
         return np.linspace(self.lo[i], self.hi[i], self.values.shape[i])
-
-    def nodes(self):
-        axes = [self.axis_nodes(i) for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
-
-    def spacing(self, i):
-        return (self.hi[i] - self.lo[i]) / (self.values.shape[i] - 1)
-
-    def interp(self, x):
-        """Multilinear interpolation; infinite if any supporting corner is."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        acc = np.zeros(x.shape[0])
-        hit_inf = np.zeros(x.shape[0], dtype=bool)
-        idx = []
-        frac = []
-        for i in range(self.n):
-            t = (x[:, i] - self.lo[i]) / self.spacing(i)
-            j = np.clip(np.floor(t).astype(int), 0, self.values.shape[i] - 2)
-            idx.append(j)
-            frac.append(np.clip(t - j, 0.0, 1.0))
-        for corner in range(2**self.n):
-            w = np.ones(x.shape[0])
-            sel = []
-            for i in range(self.n):
-                bit = (corner >> i) & 1
-                sel.append(idx[i] + bit)
-                w = w * (frac[i] if bit else (1.0 - frac[i]))
-            v = self.values[tuple(sel)]
-            active = w > 1e-12
-            hit_inf |= active & ~np.isfinite(v)
-            acc += np.where(active & np.isfinite(v), w * v, 0.0)
-        return np.where(hit_inf, INF, acc)
 
 
 def _lt_1d(p, f, x, inner_flags=None):
@@ -189,7 +157,6 @@ class BarrierFamily:
     A: float
     q: float
     beta: float | None = None
-    conjugate_table: SampledConvexFunction | None = None
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -292,34 +259,11 @@ class BarrierFamily:
         hess_conj = np.linalg.inv(H)
         return val, p, hess_conj
 
-    def conj_value(self, x):
-        return self.conjugate(x)
-
-    def conj_grad(self, x):
-        _, p, _ = self.conjugate(x, with_derivatives=True)
-        return p
-
-    def conj_hess(self, x):
-        _, _, H = self.conjugate(x, with_derivatives=True)
-        return H
-
     def operator_Lm(self, x):
         """trace[Hess(W_m)(grad conj)(x) Hess(conj)(x)] at sampled x."""
         _, p, Hc = self.conjugate(x, with_derivatives=True)
         Hm = self.W_m.hess(p)
         return np.einsum("...ij,...ji->...", Hm, Hc)
-
-    def tabulate(self, x_lo, x_hi, x_shape):
-        x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
-        x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
-        if isinstance(x_shape, int):
-            x_shape = (x_shape,) * self.n
-        axes = [np.linspace(x_lo[i], x_hi[i], x_shape[i]) for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([mm.ravel() for mm in mesh], axis=-1)
-        vals = self.conjugate(pts).reshape(x_shape)
-        self.conjugate_table = SampledConvexFunction(x_lo, x_hi, vals)
-        return self.conjugate_table
 
 
 def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
@@ -342,7 +286,8 @@ def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
         raise BarrierConstructionError("operator bound violated",
                                        worst=xs[int(np.argmax(bad))])
     # the conjugate Hessian must invert the capped-density Hessian at the
-    # conjugate gradient; verify against a centered difference of conj_grad.
+    # conjugate gradient; verify against a centered difference of that
+    # gradient.
     # Inside the mollification core |p| <= 1/m the quadrature value is only
     # Lipschitz, so the identity is checked where the density is smooth.
     core = 1.0 / W_m.m + 2 * W_m.fd_step
@@ -401,8 +346,11 @@ def beta_Aq(speed, A, q, n=None, samples=64, refine=2) -> float:
     span_p = 2 * q / (samples - 1)
     span_x = 2 * xi_max / (samples - 1)
     for _ in range(refine):
-        b2, pb, xb = scan(pb - span_p, pb + span_p,
-                          xb - span_x, xb + span_x, samples)
+        # refinement windows stay inside the box the supremum is over
+        b2, pb, xb = scan(np.maximum(pb - span_p, lo),
+                          np.minimum(pb + span_p, hi),
+                          max(xb - span_x, -xi_max), min(xb + span_x, xi_max),
+                          samples)
         best = max(best, b2)
         span_p /= samples / 2
         span_x /= samples / 2
@@ -454,33 +402,3 @@ def choose_parameters(delta, K, W: AnisotropyModel, n_sphere: int = 2048,
         raise ParameterError("conjugate lower bound 2K fails",
                              counterexample=xs[np.argmax(bad)])
     return m0, A, q, mu
-
-
-def barrier_upper(x, t, family: BarrierFamily, xi0, offset=0.0) -> float:
-    """Periodized supersolution barrier: inf over integer shifts."""
-    if family.beta is None:
-        raise ValueError("barrier family has no speed bound beta set")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    shifts = _integer_shifts(family.n)
-    pts = x[None, :] + shifts - xi0[None, :]
-    vals = family.conjugate(pts)
-    return float(family.beta * t + np.min(vals) + offset)
-
-
-def barrier_lower(x, t, family: BarrierFamily, xi0, offset=0.0) -> float:
-    """Periodized subsolution barrier (mirror of barrier_upper)."""
-    if family.beta is None:
-        raise ValueError("barrier family has no speed bound beta set")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    xi0 = np.atleast_1d(np.asarray(xi0, dtype=float))
-    shifts = _integer_shifts(family.n)
-    pts = -(x[None, :] + shifts - xi0[None, :])
-    vals = family.conjugate(pts)
-    return float(-family.beta * t - np.min(vals) + offset)
-
-
-def _integer_shifts(n, span=2):
-    g = np.arange(-span, span + 1, dtype=float)
-    mesh = np.meshgrid(*([g] * n), indexing="ij")
-    return np.stack([mm.ravel() for mm in mesh], axis=-1)

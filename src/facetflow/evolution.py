@@ -1,15 +1,14 @@
 """Time stepping for graph evolutions driven by anisotropic curvature.
 
 Solves u_t + F(grad u, L u) = 0 on the torus, where L is either the
-smooth quasilinear operator trace[Hess W_m(grad u) Hess u] of a mollified
-density, or (through the resolvent module) the singular curvature itself.
-The explicit scheme steps the mollified problem; the singular flow is
-recovered in the large-m limit, which the m-refinement diagnostics below
-monitor.
+operator div grad W_m(grad u) of a mollified density, or (through the
+resolvent module) the singular curvature itself.  The explicit scheme
+steps the mollified problem; the singular flow is recovered in the
+large-m limit, which the m-refinement diagnostics below monitor.
 
-Speed laws F(p, xi) are small wrappers pairing the function with its
-monotonicity data; F must be nonincreasing in xi for the comparison
-structure to survive discretization.
+Speed laws are affine in the curvature argument, F(p, xi) = -s xi + c
+with s > 0, so F is nonincreasing in xi and the comparison structure
+survives discretization.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, gradient_centered, hessian_centered,
+from .grid import (Grid, GridFunction, backward_divergence, forward_gradient,
                    lipschitz_constant)
 from .resolvent import ResolventConfig, curvature_dq, essinf_ball
 
@@ -29,46 +28,42 @@ class StabilityError(RuntimeError):
 
 @dataclass
 class SpeedLaw:
-    """F(p, xi) together with the data the scheme needs about it.
+    """The affine law F(p, xi) = -xi_scale xi + forcing.
 
-    func maps (points (..., n), xi (...)) -> (...); lip_xi is a bound on
-    |dF/dxi| used for the time-step restriction; name tags the law in
-    configs and reports.  When F is affine in xi, F = -xi_scale xi +
-    forcing, the pair (xi_scale, forcing) is set and the stepper can use
-    the conservative divergence form, which resolves facet motion far
-    better than the centered quasilinear form.
+    xi_scale must be positive, which keeps F nonincreasing in xi; name
+    tags the law in configs and reports.
     """
 
-    func: object
-    lip_xi: float
-    name: str = "custom"
-    xi_scale: float | None = None
+    xi_scale: float
     forcing: float = 0.0
+    name: str = "custom"
+
+    def __post_init__(self):
+        if not self.xi_scale > 0:
+            raise ValueError("speed scale must be positive")
+
+    @property
+    def lip_xi(self) -> float:
+        """|dF/dxi|, which sets the explicit time-step restriction."""
+        return self.xi_scale
 
     def __call__(self, p, xi):
-        return self.func(p, xi)
+        return -self.xi_scale * xi + self.forcing
 
 
 def tv_flow(n: int) -> SpeedLaw:
     """Plain singular diffusion: u_t = L u, i.e. F = -xi."""
-    return SpeedLaw(func=lambda p, xi: -xi, lip_xi=1.0, name="tv_flow",
-                    xi_scale=1.0)
+    return SpeedLaw(1.0, name="tv_flow")
 
 
 def graph_flow(n: int, s: float = 1.0) -> SpeedLaw:
     """Scaled diffusion F = -s xi (s > 0 keeps F nonincreasing in xi)."""
-    if s <= 0:
-        raise ValueError("speed scale must be positive")
-    return SpeedLaw(func=lambda p, xi: -s * xi, lip_xi=float(s),
-                    name="graph_flow", xi_scale=float(s))
+    return SpeedLaw(s, name="graph_flow")
 
 
 def driven_flow(n: int, s: float = 1.0, c: float = 0.0) -> SpeedLaw:
     """Diffusion with a constant forcing: F = -s xi + c."""
-    if s <= 0:
-        raise ValueError("speed scale must be positive")
-    return SpeedLaw(func=lambda p, xi: -s * xi + c, lip_xi=float(s),
-                    name="driven_flow", xi_scale=float(s), forcing=float(c))
+    return SpeedLaw(s, c, name="driven_flow")
 
 
 _SPEED_LAWS = {"tv_flow": tv_flow, "graph_flow": graph_flow,
@@ -107,45 +102,22 @@ class EvolutionTrace:
         return self.states[-1]
 
 
-def quasilinear_operator(u: GridFunction, W_m) -> np.ndarray:
-    """trace[Hess W_m(grad u) Hess u] with centered differences."""
-    g = u.grid
-    p = gradient_centered(u).values
-    H = hessian_centered(u)
-    Hm = W_m.hess(p.reshape(-1, g.n)).reshape(g.shape + (g.n, g.n))
-    return np.einsum("...ij,...ji->...", Hm, H)
-
-
 def divergence_operator(u: GridFunction, W_m) -> np.ndarray:
     """div grad W_m(grad u) in conservative form (forward/backward pair)."""
     g = u.grid
-    h = g.h
-    v = u.values
-    gr = np.stack([(np.roll(v, -1, axis=i) - v) / h for i in range(g.n)],
-                  axis=-1)
+    gr = forward_gradient(u.values, g.h)
     flux = W_m.grad(gr.reshape(-1, g.n)).reshape(gr.shape)
-    out = np.zeros(g.shape)
-    for i in range(g.n):
-        out += (flux[..., i] - np.roll(flux[..., i], 1, axis=i)) / h
-    return out
+    return backward_divergence(flux, g.h)
 
 
 def step_explicit(u: GridFunction, W_m, speed: SpeedLaw, dt: float) -> GridFunction:
     """One forward Euler step of u_t + F(grad u, L_m u) = 0.
 
-    Speed laws affine in the curvature argument are stepped in
-    conservative (divergence) form, which tracks facet motion through
-    the exact discrete flux balance; general laws fall back to the
-    centered quasilinear form.
+    The step is taken in conservative (divergence) form, which tracks
+    facet motion through the exact discrete flux balance.
     """
-    g = u.grid
-    if speed.xi_scale is not None:
-        rate = speed.xi_scale * divergence_operator(u, W_m) - speed.forcing
-        return GridFunction(g, u.values + dt * rate)
-    p = gradient_centered(u).values
-    xi = quasilinear_operator(u, W_m)
-    rate = speed(p.reshape(-1, g.n), xi.ravel()).reshape(g.shape)
-    return GridFunction(g, u.values - dt * rate)
+    rate = speed.xi_scale * divergence_operator(u, W_m) - speed.forcing
+    return GridFunction(u.grid, u.values + dt * rate)
 
 
 def stable_dt(grid: Grid, W_m, speed: SpeedLaw, cfl: float) -> float:

@@ -25,8 +25,8 @@ class Grid:
     N: int
 
     def __post_init__(self):
-        if self.n not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
+        if self.n not in (1, 2):
+            raise ValueError(f"dimension must be 1 or 2, got {self.n}")
         if self.N < 8:
             raise ValueError(f"resolution must be >= 8, got {self.N}")
 
@@ -139,21 +139,33 @@ def _check_same_grid(a, b):
         raise GridMismatchError("operands live on different grids")
 
 
+def forward_gradient(v: np.ndarray, h: float) -> np.ndarray:
+    """Forward differences of a node array along every axis, stacked last.
+
+    The one discrete gradient of the package; backward_divergence is its
+    exact negative adjoint.  Works on raw arrays so that inner loops skip
+    the finiteness checks of the GridFunction wrappers.
+    """
+    return np.stack([(np.roll(v, -1, axis=i) - v) / h for i in range(v.ndim)],
+                    axis=-1)
+
+
+def backward_divergence(z: np.ndarray, h: float) -> np.ndarray:
+    """Backward-difference divergence of a field of shape (*shape, n)."""
+    out = np.zeros(z.shape[:-1])
+    for i in range(z.shape[-1]):
+        out += (z[..., i] - np.roll(z[..., i], 1, axis=i)) / h
+    return out
+
+
 def gradient_fd(u: GridFunction) -> GridVectorField:
     """Forward-difference gradient (adjoint to divergence_fd)."""
-    h = u.grid.h
-    comps = [(np.roll(u.values, -1, axis=i) - u.values) / h for i in range(u.grid.n)]
-    return GridVectorField(u.grid, np.stack(comps, axis=-1))
+    return GridVectorField(u.grid, forward_gradient(u.values, u.grid.h))
 
 
 def divergence_fd(z: GridVectorField) -> GridFunction:
     """Backward-difference divergence; exact negative adjoint of gradient_fd."""
-    h = z.grid.h
-    out = np.zeros(z.grid.shape)
-    for i in range(z.grid.n):
-        zi = z.values[..., i]
-        out += (zi - np.roll(zi, 1, axis=i)) / h
-    return GridFunction(z.grid, out)
+    return GridFunction(z.grid, backward_divergence(z.values, z.grid.h))
 
 
 def gradient_centered(u: GridFunction) -> GridVectorField:
@@ -161,25 +173,6 @@ def gradient_centered(u: GridFunction) -> GridVectorField:
     comps = [(np.roll(u.values, -1, axis=i) - np.roll(u.values, 1, axis=i)) / (2 * h)
              for i in range(u.grid.n)]
     return GridVectorField(u.grid, np.stack(comps, axis=-1))
-
-
-def hessian_centered(u: GridFunction) -> np.ndarray:
-    """Centered second differences, shape (*shape, n, n)."""
-    h = u.grid.h
-    n = u.grid.n
-    v = u.values
-    H = np.zeros(u.grid.shape + (n, n))
-    for i in range(n):
-        H[..., i, i] = (np.roll(v, -1, axis=i) - 2 * v + np.roll(v, 1, axis=i)) / h**2
-    for i in range(n):
-        for j in range(i + 1, n):
-            cross = (np.roll(np.roll(v, -1, axis=i), -1, axis=j)
-                     + np.roll(np.roll(v, 1, axis=i), 1, axis=j)
-                     - np.roll(np.roll(v, -1, axis=i), 1, axis=j)
-                     - np.roll(np.roll(v, 1, axis=i), -1, axis=j)) / (4 * h**2)
-            H[..., i, j] = cross
-            H[..., j, i] = cross
-    return H
 
 
 def erode(u: GridFunction, eta: float) -> GridFunction:
@@ -228,12 +221,3 @@ def inner(u: GridFunction, v: GridFunction) -> float:
     """L2 inner product with the cell volume weight h^n."""
     _check_same_grid(u, v)
     return float(np.sum(u.values * v.values)) * u.grid.h**u.grid.n
-
-
-def inner_vec(z: GridVectorField, w: GridVectorField) -> float:
-    _check_same_grid(z, w)
-    return float(np.sum(z.values * w.values)) * z.grid.h**z.grid.n
-
-
-def norm2(u: GridFunction) -> float:
-    return float(np.sqrt(max(inner(u, u), 0.0)))

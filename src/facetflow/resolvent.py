@@ -8,9 +8,6 @@ computed by an accelerated primal-dual iteration on the exact saddle form
 with a per-node projection onto the Wulff set of W.  The difference
 quotient (psi_a - psi)/a approaches minus the minimal section of the
 subdifferential of E, the nonlocal curvature that drives the flow.
-
-A smooth companion solver handles the mollified energy (Newton with a
-sparse Jacobian); it is used for cross-checks and for regularized runs.
 """
 
 from __future__ import annotations
@@ -18,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
 
-from .grid import (Grid, GridFunction, GridVectorField, divergence_fd,
-                   gradient_fd, inner, norm2)
+from .grid import (GridFunction, GridVectorField, backward_divergence,
+                   forward_gradient, gradient_fd)
 
 
 class ConvergenceError(RuntimeError):
@@ -85,16 +80,6 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
     psi_v = psi.values
     voln = h**n
 
-    def div(zz):
-        out = np.zeros(g.shape)
-        for i in range(n):
-            out += (zz[..., i] - np.roll(zz[..., i], 1, axis=i)) / h
-        return out
-
-    def grad(vv):
-        return np.stack([(np.roll(vv, -1, axis=i) - vv) / h for i in range(n)],
-                        axis=-1)
-
     gap = np.inf
     gap_tol = config.gap_tol
     if gap_tol <= 0:
@@ -102,18 +87,19 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
         gap_tol = config.rel_gap_tol * scale / a
     it = 0
     for it in range(1, config.max_iter + 1):
-        z = z + sigma * grad(v_bar)
+        z = z + sigma * forward_gradient(v_bar, h)
         z = W.wulff_project(z.reshape(-1, n)).reshape(z.shape)
         v_old = v
-        v = (v + tau * div(z) + (tau / a) * psi_v) / (1.0 + tau / a)
+        v = ((v + tau * backward_divergence(z, h) + (tau / a) * psi_v)
+             / (1.0 + tau / a))
         theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
         tau *= theta
         sigma /= theta
         v_bar = v + theta * (v - v_old)
         if it % config.check_every == 0 or it == config.max_iter:
-            dz = div(z)
+            dz = backward_divergence(z, h)
             v_rec = psi_v + a * dz
-            primal = (float(np.sum(W.eval(grad(v_rec)))) * voln
+            primal = (float(np.sum(W.eval(forward_gradient(v_rec, h)))) * voln
                       + 0.5 / a * float(np.sum((v_rec - psi_v)**2)) * voln)
             dual = (-float(np.sum(psi_v * dz)) * voln
                     - 0.5 * a * float(np.sum(dz**2)) * voln)
@@ -121,7 +107,7 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
             if gap <= gap_tol:
                 break
 
-    dz = div(z)
+    dz = backward_divergence(z, h)
     psi_a = GridFunction(g, psi_v + a * dz)
     zf = GridVectorField(g, z)
     report = ResolventReport(
@@ -132,67 +118,6 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
         l2_error_bound=float(np.sqrt(max(2.0 * a * gap, 0.0))),
     )
     return psi_a, zf, report
-
-
-def resolve_regularized(psi: GridFunction, W_m, a: float,
-                        tol: float = 1e-11, max_iter: int = 60):
-    """Resolvent for a smooth elliptic energy density by damped Newton.
-
-    Solves v - a div(grad W_m(grad v)) = psi with the same forward /
-    backward difference pair as the singular solver.
-    """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    g = psi.grid
-    n, h, N = g.n, g.h, g.N
-    size = N**n
-    v = psi.values.copy()
-    psi_v = psi.values
-
-    def residual(vv):
-        gr = np.stack([(np.roll(vv, -1, axis=i) - vv) / h for i in range(n)],
-                      axis=-1)
-        flux = W_m.grad(gr.reshape(-1, n)).reshape(gr.shape)
-        dv = np.zeros(g.shape)
-        for i in range(n):
-            dv += (flux[..., i] - np.roll(flux[..., i], 1, axis=i)) / h
-        return vv - a * dv - psi_v
-
-    def diff_matrix(axis):
-        idx = np.arange(size).reshape(g.shape)
-        fwd = np.roll(idx, -1, axis=axis)
-        rows = np.concatenate([idx.ravel(), idx.ravel()])
-        cols = np.concatenate([fwd.ravel(), idx.ravel()])
-        data = np.concatenate([np.full(size, 1.0 / h), np.full(size, -1.0 / h)])
-        return sparse.csr_matrix((data, (rows, cols)), shape=(size, size))
-
-    D = [diff_matrix(i) for i in range(n)]
-
-    rn0 = norm2(GridFunction(g, residual(v)))
-    scale = max(norm2(psi), 1e-30)
-    for _ in range(max_iter):
-        r = residual(v)
-        rn = float(np.sqrt(np.sum(r**2)) * np.sqrt(h**n))
-        if rn <= tol * scale:
-            return GridFunction(g, v), rn
-        gr = np.stack([(np.roll(v, -1, axis=i) - v) / h for i in range(n)],
-                      axis=-1)
-        H = W_m.hess(gr.reshape(-1, n))
-        J = sparse.identity(size, format="csr")
-        for i in range(n):
-            for j in range(n):
-                Hij = sparse.diags(H[:, i, j])
-                J = J + a * (D[i].T @ Hij @ D[j])
-        step = spsolve(J.tocsr(), r.ravel()).reshape(g.shape)
-        t = 1.0
-        for _ls in range(40):
-            cand = v - t * step
-            if float(np.sum(residual(cand)**2)) <= float(np.sum(r**2)) * (1 - 1e-4 * t):
-                break
-            t *= 0.5
-        v = v - t * step
-    raise ConvergenceError(
-        f"Newton stalled: |R| {rn:.3e} (started {rn0:.3e}, tol {tol * scale:.3e})")
 
 
 def resolvent_bruteforce(psi: GridFunction, W, a: float,
@@ -208,16 +133,10 @@ def resolvent_bruteforce(psi: GridFunction, W, a: float,
     step = h**2 / (4.0 * n * a)
     psi_v = psi.values
     for _ in range(iterations):
-        v = psi_v + a * np.sum(
-            [(z[..., i] - np.roll(z[..., i], 1, axis=i)) / h for i in range(n)],
-            axis=0)
-        gr = np.stack([(np.roll(v, -1, axis=i) - v) / h for i in range(n)],
-                      axis=-1)
-        z = z + step * gr
+        v = psi_v + a * backward_divergence(z, h)
+        z = z + step * forward_gradient(v, h)
         z = W.wulff_project(z.reshape(-1, n)).reshape(z.shape)
-    dv = np.sum([(z[..., i] - np.roll(z[..., i], 1, axis=i)) / h
-                 for i in range(n)], axis=0)
-    return GridFunction(g, psi_v + a * dv)
+    return GridFunction(g, psi_v + a * backward_divergence(z, h))
 
 
 def curvature_dq(psi: GridFunction, W, a: float, **kw) -> GridFunction:
@@ -229,26 +148,6 @@ def curvature_dq(psi: GridFunction, W, a: float, **kw) -> GridFunction:
     cfg = ResolventConfig(a=a, **kw)
     psi_a, _z, _rep = resolve_singular(psi, W, cfg)
     return GridFunction(psi.grid, (psi_a.values - psi.values) / a)
-
-
-def curvature_extrapolated(psi: GridFunction, W, a: float, levels: int = 3,
-                           **kw):
-    """Difference-quotient curvature at a, a/2, ..., with Cauchy diagnostics.
-
-    Returns (finest quotient, diagnostics dict).  Successive L^2
-    differences indicate how far from the a -> 0 limit the finest level
-    still is.
-    """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    quots = []
-    scales = [a / 2**j for j in range(levels)]
-    for aj in scales:
-        quots.append(curvature_dq(psi, W, aj, **kw))
-    diffs = [norm2(GridFunction(psi.grid, quots[j + 1].values - quots[j].values))
-             for j in range(levels - 1)]
-    diag = {"scales": scales, "cauchy_l2": diffs}
-    return quots[-1], diag
 
 
 def essinf_ball(u: GridFunction, x0, delta: float) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from facetflow.anisotropy import (EllipticAnisotropy, EuclideanAnisotropy,
                                   MollifiedAnisotropy, PowerFourAnisotropy,
@@ -75,6 +76,33 @@ def test_wulff_projection_is_idempotent_and_feasible(W):
     assert all(wulff_membership(W, v, tol=1e-6) for v in pz)
     ppz = W.wulff_project(pz.copy())
     assert np.allclose(pz, ppz, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, np.pi), e1=st.floats(0.2, 5.0),
+       e2=st.floats(0.2, 5.0), seed=st.integers(0, 2**16))
+def test_elliptic_projection_with_rotated_matrix(theta, e1, e2, seed):
+    """Any SPD M: the projection is feasible, idempotent, and leaves the
+    points already inside the Wulff set where they are."""
+    R = np.array([[np.cos(theta), -np.sin(theta)],
+                  [np.sin(theta), np.cos(theta)]])
+    M = R @ np.diag([e1, e2]) @ R.T
+    W = EllipticAnisotropy(0.5 * (M + M.T))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((60, 2)) * rng.uniform(0.0, 4.0, size=(60, 1))
+    pz = W.wulff_project(z)
+    assert np.all(W.gauge(pz) <= 1.0 + 1e-9)
+    assert np.allclose(W.wulff_project(pz), pz, atol=1e-9)
+    inside = W.gauge(z) < 1.0 - 1e-9
+    assert np.array_equal(pz[inside], z[inside])
+
+
+def test_models_reject_three_dimensions():
+    for make in (lambda: EuclideanAnisotropy(3),
+                 lambda: PowerFourAnisotropy(3),
+                 lambda: EllipticAnisotropy(np.eye(3))):
+        with pytest.raises(ValueError):
+            make()
 
 
 @pytest.mark.parametrize("W", MODELS)

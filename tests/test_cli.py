@@ -1,12 +1,22 @@
 """Scenario runner: config schema, artifacts, exit codes, determinism."""
 
 import filecmp
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from facetflow.cli import (SCENARIO_KINDS, SchemaError, TEMPLATES, fmt, main,
-                           parse_config, read_snapshot, write_snapshot)
+import facetflow
+from facetflow.cli import (SCENARIO_KINDS, SchemaError, TEMPLATES, _SCHEMA,
+                           fmt, main, parse_config, read_snapshot,
+                           write_snapshot)
 from facetflow.grid import Grid, GridFunction
+
+FLOAT_KEYS = sorted(k for k, row in _SCHEMA.items() if row[0] is float)
 
 
 def test_all_templates_parse():
@@ -35,6 +45,20 @@ def test_parse_rejects_bad_value():
         parse_config("scenario = evolve\ngrid.N = tiny\n")
     with pytest.raises(SchemaError):
         parse_config("scenario = evolve\ngrid.N = 4\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(FLOAT_KEYS),
+       text=st.floats().map(repr)
+       | st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e999"]))
+def test_parse_float_keys_finite_or_schema_error(key, text):
+    kinds = _SCHEMA[key][1]
+    kind = kinds[0] if kinds else "resolvent"
+    try:
+        cfg = parse_config(f"scenario = {kind}\n{key} = {text}\n")
+    except SchemaError:
+        return
+    assert all(np.isfinite(v) for v in cfg.values() if isinstance(v, float))
 
 
 def test_parse_comments_and_defaults():
@@ -76,6 +100,25 @@ def test_run_bad_schema_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scenario = evolve\nwhat = 1\n")
     assert main(["run", str(cfg)]) == 2
+
+
+def test_run_nonfinite_value_exits_2(tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("scenario = resolvent\nresolvent.a = nan\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+
+
+def test_import_leaves_scipy_sparse_out():
+    """Importing the package and its CLI must not load scipy.sparse, whose
+    import every CLI and benchmark process would pay."""
+    src = str(Path(facetflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, facetflow, facetflow.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_run_anisotropy_check_passes(tmp_path):

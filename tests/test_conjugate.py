@@ -111,6 +111,10 @@ def test_beta_dominates_speed_on_the_box():
     A, q = 0.05, 8.0
     beta = beta_Aq(speed, A, q, n=2)
     assert beta >= 2.0 * (2 / A) + 0.3 + 1.0 - 1e-9
+    # the supremum of |F| = |xi| sits on the edge |xi| = n/A of the box;
+    # a refinement window reaching past that edge would overshoot it
+    beta = beta_Aq(lambda p, xi: -xi, A, q, n=2)
+    assert beta == pytest.approx(2 / A + 1.0, abs=1e-12)
 
 
 def test_choose_parameters_rejects_impossible_demand():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from facetflow.anisotropy import EuclideanAnisotropy
+from facetflow.anisotropy import EllipticAnisotropy, EuclideanAnisotropy
 from facetflow.grid import Grid, GridFunction
 from facetflow.resolvent import (ResolventConfig, curvature_dq, essinf_ball,
                                  esssup_ball, facet_interior,
@@ -114,3 +114,16 @@ def test_facet_interior_finds_plateau():
     mask = facet_interior(psi, float(np.max(psi.values)))
     assert np.sum(mask) > 0
     assert np.all(psi.values[mask] == np.max(psi.values))
+
+
+def test_resolvent_certified_for_rotated_elliptic_model():
+    """A non-diagonal M goes through the same Wulff projection."""
+    W = EllipticAnisotropy(np.array([[2.0, 0.5], [0.5, 1.0]]))
+    g = Grid(2, 16)
+    c = g.coords()
+    psi = GridFunction(g, 0.1 * np.sin(2 * np.pi * c[..., 0])
+                       * np.cos(2 * np.pi * c[..., 1]))
+    psi_a, _z, rep = resolve_singular(
+        psi, W, ResolventConfig(a=5e-3, rel_gap_tol=1e-8))
+    assert rep.converged
+    assert psi_a.mean() == pytest.approx(psi.mean(), abs=1e-12)
