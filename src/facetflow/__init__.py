@@ -17,7 +17,7 @@ from .anisotropy import (AnisotropyModel, EuclideanAnisotropy,
                          EllipticAnisotropy, PowerFourAnisotropy,
                          MollifiedAnisotropy, SingularGradientError,
                          dual_norm, wulff_membership, subdifferential_contains,
-                         k_operator, mollify_anisotropy, make_anisotropy)
+                         k_operator, make_anisotropy)
 from .conjugate import (SampledConvexFunction, legendre_transform,
                         BarrierFamily, build_barrier, beta_Aq,
                         choose_parameters, BarrierConstructionError,

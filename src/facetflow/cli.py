@@ -28,22 +28,23 @@ import numpy as np
 from scipy import ndimage
 
 from . import __version__
-from .anisotropy import (EllipticAnisotropy, EuclideanAnisotropy,
-                         MollifiedAnisotropy, PowerFourAnisotropy,
-                         make_anisotropy)
-from .conjugate import (BarrierConstructionError, ParameterError, beta_Aq,
+from .anisotropy import MollifiedAnisotropy, make_anisotropy
+from .conjugate import (BarrierConstructionError, ParameterError,
                         build_barrier, choose_parameters)
-from .evolution import (EvolutionConfig, StabilityError, evolve,
-                        faceted_test_residual, lipschitz_monitor,
-                        make_speed_law)
+from .evolution import (EvolutionConfig, StabilityError, comparison_harness,
+                        evolve, faceted_test_residual, lipschitz_monitor,
+                        make_speed_law, stable_dt)
 from .facets import PairOfSets, smooth_pair_between, support_from_smooth_pair
-from .grid import Grid, GridFunction, lipschitz_constant
+from .grid import Grid, GridFunction
 from .resolvent import (ConvergenceError, ResolventConfig, curvature_dq,
                         essinf_ball, resolve_singular)
 
 
 class SchemaError(ValueError):
     """Config file is missing, malformed, or out of documented range."""
+
+
+_MAX_STEPS = 10**7     # explicit steps a run may plan; templates plan < 2e4
 
 
 def fmt(x) -> str:
@@ -60,14 +61,16 @@ SCENARIO_KINDS = ("anisotropy-check", "resolvent", "curvature", "monotonicity",
 # documented schema, one row per key: its type, the scenario kinds that
 # accept it (None for all), its default (None: left out of the parsed
 # config unless set) and its allowed values (None for any, a tuple or
-# range of admissible values, or _POSITIVE).  Float values must be finite.
+# range of admissible values, _POSITIVE or _NONNEGATIVE).  Float values
+# must be finite.
 _POSITIVE = "positive"
+_NONNEGATIVE = "nonnegative"
 _RESOLVE = ("resolvent", "curvature", "monotonicity", "viscosity-test")
 _FLOW = ("evolve", "compare")
 _SPEED = ("evolve", "compare", "barrier", "viscosity-test")
 _SCHEMA = {
     "scenario": (str, None, None, None),
-    "seed": (int, None, 1234, None),
+    "seed": (int, None, 1234, _NONNEGATIVE),
     "out.dir": (str, None, "facetflow-out", None),
     "grid.n": (int, None, 1, (1, 2)),
     "grid.N": (int, None, 128, range(8, 4097)),
@@ -80,15 +83,14 @@ _SCHEMA = {
     "init.amplitude": (float, None, 0.1, None),
     "init.radius": (float, None, 0.2, None),
     "init.level": (float, None, 0.0, None),
-    "check.samples": (int, ("anisotropy-check",), 200, None),
+    "check.samples": (int, ("anisotropy-check",), 200, _POSITIVE),
     "resolvent.a": (float, ("resolvent", "monotonicity", "viscosity-test"),
                     0.005, _POSITIVE),
-    "resolvent.max-iter": (int, _RESOLVE, 100000, None),
+    "resolvent.max-iter": (int, _RESOLVE, 100000, _POSITIVE),
     "resolvent.rel-gap-tol": (float, _RESOLVE, 1e-10, None),
     "curvature.a": (float, ("curvature",), 0.001, _POSITIVE),
-    "curvature.levels": (int, ("curvature",), 2, None),
     "check.curvature-rel-tol": (float, ("curvature",), 0.1, None),
-    "mono.pairs": (int, ("monotonicity",), 5, None),
+    "mono.pairs": (int, ("monotonicity",), 5, _POSITIVE),
     "check.violation-tol": (float, ("monotonicity",), 1e-6, None),
     "evolve.m": (float, _FLOW, 16.0, _POSITIVE),
     "evolve.t-end": (float, _FLOW, 0.001, _POSITIVE),
@@ -97,14 +99,14 @@ _SCHEMA = {
                      ("tv_flow", "graph_flow", "driven_flow")),
     "evolve.scale": (float, _SPEED, 1.0, None),
     "evolve.forcing": (float, _FLOW, 0.0, None),
-    "evolve.record-every": (int, _FLOW, 0, None),
-    "check.peak-law": (int, ("evolve",), 0, None),
+    "evolve.record-every": (int, _FLOW, 0, _NONNEGATIVE),
+    "check.peak-law": (int, ("evolve",), 0, (0, 1)),
     "check.lipschitz-slack": (float, _FLOW, 1e-3, None),
-    "compare.pairs": (int, ("compare",), 3, None),
+    "compare.pairs": (int, ("compare",), 3, _POSITIVE),
     "check.crossing-cells": (float, ("compare",), 10.0, None),
     "barrier.delta": (float, ("barrier",), 0.5, _POSITIVE),
     "barrier.K": (float, ("barrier",), 2.0, _POSITIVE),
-    "barrier.samples": (int, ("barrier",), 400, None),
+    "barrier.samples": (int, ("barrier",), 400, _POSITIVE),
     "barrier.t": (float, ("barrier",), 0.01, None),
     "viscosity.radius": (float, ("viscosity-test",), 0.2, None),
 }
@@ -142,13 +144,22 @@ def parse_config(text: str) -> dict:
             if default is not None}
     full.update(cfg)
     for key, value in full.items():
-        allowed = _SCHEMA[key][3]
-        if allowed == _POSITIVE:
-            if value <= 0:
-                raise SchemaError(f"{key} must be positive")
-        elif allowed is not None and value not in allowed:
-            raise SchemaError(f"{key} must be one of {_describe(allowed)}")
+        _check_value(key, value)
+    if "anisotropy.diag" in full:
+        _diag(full)
     return full
+
+
+def _check_value(key, value):
+    allowed = _SCHEMA[key][3]
+    if allowed == _POSITIVE:
+        if value <= 0:
+            raise SchemaError(f"{key} must be positive")
+    elif allowed == _NONNEGATIVE:
+        if value < 0:
+            raise SchemaError(f"{key} must be nonnegative")
+    elif allowed is not None and value not in allowed:
+        raise SchemaError(f"{key} must be one of {_describe(allowed)}")
 
 
 def _describe(allowed):
@@ -157,51 +168,61 @@ def _describe(allowed):
     return ", ".join(str(v) for v in allowed)
 
 
+def _dimension(cfg):
+    """Space dimension of the run; the viscosity test is 2D whatever grid.n."""
+    return 2 if cfg["scenario"] == "viscosity-test" else cfg["grid.n"]
+
+
+def _diag(cfg):
+    """anisotropy.diag as one positive finite float per dimension."""
+    n = _dimension(cfg)
+    try:
+        diag = [float(v) for v in cfg["anisotropy.diag"].split(",")]
+    except ValueError as e:
+        raise SchemaError(f"bad value for 'anisotropy.diag': {e}")
+    if len(diag) != n or not all(np.isfinite(d) and d > 0 for d in diag):
+        raise SchemaError(f"anisotropy.diag must be {n} positive finite "
+                          "comma-separated numbers")
+    return diag
+
+
 def _build_anisotropy(cfg):
-    name = cfg["anisotropy.model"]
-    n = cfg["grid.n"]
-    params = {}
-    if name == "elliptic":
-        diag = cfg.get("anisotropy.diag", "4.0,1.0")
-        params["diag"] = [float(v) for v in str(diag).split(",")][:n]
-    return make_anisotropy(name, n, params)
+    params = {"diag": _diag(cfg)} if "anisotropy.diag" in cfg else {}
+    return make_anisotropy(cfg["anisotropy.model"], _dimension(cfg), params)
 
 
-def _speed_params(cfg):
+def _speed(cfg):
     name = cfg["evolve.speed"]
-    if name == "tv_flow":
-        return name, {}
-    if name == "graph_flow":
-        return name, {"s": cfg["evolve.scale"]}
-    return name, {"s": cfg["evolve.scale"], "c": cfg["evolve.forcing"]}
+    params = {}
+    if name != "tv_flow":
+        params["s"] = cfg["evolve.scale"]
+    if name == "driven_flow":
+        params["c"] = cfg["evolve.forcing"]
+    return make_speed_law(name, _dimension(cfg), params)
+
+
+def _center_offsets(grid: Grid) -> np.ndarray:
+    """Wrapped distance of every node from the centre along each axis."""
+    d = np.abs(grid.coords() - 0.5)
+    return np.minimum(d, 1.0 - d)
 
 
 def _build_initial(cfg, grid: Grid, rng) -> GridFunction:
     kind = cfg["init.kind"]
-    c = grid.coords()
     if kind == "constant":
         return GridFunction.constant(grid, cfg["init.level"])
     if kind == "tent":
-        s = cfg["init.slope"]
-        d = np.minimum(np.abs(c[..., 0] - 0.5), 1.0 - np.abs(c[..., 0] - 0.5))
-        for i in range(1, grid.n):
-            di = np.minimum(np.abs(c[..., i] - 0.5),
-                            1.0 - np.abs(c[..., i] - 0.5))
-            d = np.maximum(d, di)
-        return GridFunction(grid, s * (0.25 - d))
+        d = np.max(_center_offsets(grid), axis=-1)
+        return GridFunction(grid, cfg["init.slope"] * (0.25 - d))
     if kind == "sin":
+        c = grid.coords()
         v = np.sin(2 * np.pi * c[..., 0])
         for i in range(1, grid.n):
             v = v * np.sin(2 * np.pi * c[..., i])
         return GridFunction(grid, cfg["init.amplitude"] * v)
     if kind == "disk":
-        r = cfg["init.radius"]
-        d2 = np.zeros(grid.shape)
-        for i in range(grid.n):
-            di = np.minimum(np.abs(c[..., i] - 0.5),
-                            1.0 - np.abs(c[..., i] - 0.5))
-            d2 += di**2
-        depth = r - np.sqrt(d2)
+        d2 = np.sum(_center_offsets(grid)**2, axis=-1)
+        depth = cfg["init.radius"] - np.sqrt(d2)
         delta = cfg["init.amplitude"]
         return GridFunction(grid, np.clip(depth + delta, 0.0, delta))
     # random-smooth: band-limited noise, normalized amplitude
@@ -209,6 +230,14 @@ def _build_initial(cfg, grid: Grid, rng) -> GridFunction:
                                 max(2.0, grid.N / 24), mode="wrap")
     v = v / max(np.max(np.abs(v)), 1e-12)
     return GridFunction(grid, cfg["init.amplitude"] * v)
+
+
+def _ordered_pair(cfg, grid: Grid, rng, pad: float):
+    """Random-smooth lo and hi = lo + pad + |bump| for a random-smooth bump."""
+    smooth = dict(cfg, **{"init.kind": "random-smooth"})
+    lo = _build_initial(smooth, grid, rng)
+    bump = _build_initial(smooth, grid, rng)
+    return lo, GridFunction(grid, lo.values + pad + np.abs(bump.values))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +380,7 @@ def _scenario_curvature(cfg, out, man, rng):
         R = cfg["init.radius"]
         delta = cfg["init.amplitude"]
         # average over the eroded facet {psi = max}, a disk of radius R
-        c = grid.coords()
-        d2 = sum(np.minimum(np.abs(c[..., i] - 0.5),
-                            1 - np.abs(c[..., i] - 0.5))**2
-                 for i in range(2))
+        d2 = np.sum(_center_offsets(grid)**2, axis=-1)
         facet = d2 <= (R - delta - 4 * grid.h)**2
         val = float(np.mean(lam.values[facet]))
         target = -2.0 / R
@@ -373,19 +399,14 @@ def _scenario_monotonicity(cfg, out, man, rng):
     grid = Grid(cfg["grid.n"], cfg["grid.N"])
     W = _build_anisotropy(cfg)
     a = cfg["resolvent.a"]
+    rc = ResolventConfig(a=a, max_iter=cfg["resolvent.max-iter"],
+                         rel_gap_tol=cfg["resolvent.rel-gap-tol"])
     worst = 0.0
     rows = []
     for k in range(cfg["mono.pairs"]):
-        lo = _build_initial(dict(cfg, **{"init.kind": "random-smooth"}),
-                            grid, rng)
-        pad = 0.2 * cfg["init.amplitude"]
-        bump = _build_initial(dict(cfg, **{"init.kind": "random-smooth"}),
-                              grid, rng)
-        hi = GridFunction(grid, lo.values + pad + np.abs(bump.values))
-        rc = dict(max_iter=cfg["resolvent.max-iter"],
-                  rel_gap_tol=cfg["resolvent.rel-gap-tol"])
-        lo_a, _, rep1 = resolve_singular(lo, W, ResolventConfig(a=a, **rc))
-        hi_a, _, rep2 = resolve_singular(hi, W, ResolventConfig(a=a, **rc))
+        lo, hi = _ordered_pair(cfg, grid, rng, 0.2 * cfg["init.amplitude"])
+        lo_a, _, rep1 = resolve_singular(lo, W, rc)
+        hi_a, _, rep2 = resolve_singular(hi, W, rc)
         if not (rep1.converged and rep2.converged):
             man.numerical_failure(f"pair {k}: resolvent gap not certified")
         v = float(max(0.0, -np.min(hi_a.values - lo_a.values)))
@@ -398,24 +419,28 @@ def _scenario_monotonicity(cfg, out, man, rng):
                  rows)
 
 
-def _cfl_guard(cfg, man):
+def _explicit_setup(cfg):
+    """Grid, W_m and speed law of an explicit run.  Raises StabilityError
+    for a CFL constant over 1 and SchemaError over _MAX_STEPS steps."""
+    grid = Grid(cfg["grid.n"], cfg["grid.N"])
+    W_m = MollifiedAnisotropy(_build_anisotropy(cfg), cfg["evolve.m"])
+    speed = _speed(cfg)
     if cfg["evolve.cfl"] > 1.0:
-        man.numerical_failure(
+        raise StabilityError(
             f"CFL constant {cfg['evolve.cfl']} exceeds the explicit-scheme "
             "bound 1 (dt would exceed h^2 / (2 n a_m lip_xi))")
-        return False
-    return True
+    steps = np.ceil(cfg["evolve.t-end"]
+                    / stable_dt(grid, W_m, speed, cfg["evolve.cfl"]))
+    if steps > _MAX_STEPS:
+        raise SchemaError(f"evolve.t-end = {cfg['evolve.t-end']} needs "
+                          f"{steps:.3g} explicit steps, over the budget of "
+                          f"{_MAX_STEPS:.0e}")
+    return grid, W_m, speed
 
 
 def _scenario_evolve(cfg, out, man, rng):
-    grid = Grid(cfg["grid.n"], cfg["grid.N"])
-    W = _build_anisotropy(cfg)
-    W_m = MollifiedAnisotropy(W, cfg["evolve.m"])
-    name, params = _speed_params(cfg)
-    speed = make_speed_law(name, grid.n, params)
+    grid, W_m, speed = _explicit_setup(cfg)
     u0 = _build_initial(cfg, grid, rng)
-    if not _cfl_guard(cfg, man):
-        return
     ec = EvolutionConfig(t_end=cfg["evolve.t-end"], cfl=cfg["evolve.cfl"],
                          record_every=cfg["evolve.record-every"],
                          lipschitz_slack=cfg["check.lipschitz-slack"])
@@ -449,29 +474,14 @@ def _scenario_evolve(cfg, out, man, rng):
 
 
 def _scenario_compare(cfg, out, man, rng):
-    grid = Grid(cfg["grid.n"], cfg["grid.N"])
-    W = _build_anisotropy(cfg)
-    W_m = MollifiedAnisotropy(W, cfg["evolve.m"])
-    name, params = _speed_params(cfg)
-    speed = make_speed_law(name, grid.n, params)
-    if not _cfl_guard(cfg, man):
-        return
+    grid, W_m, speed = _explicit_setup(cfg)
     ec = EvolutionConfig(t_end=cfg["evolve.t-end"], cfl=cfg["evolve.cfl"],
                          record_every=cfg["evolve.record-every"] or 200)
     worst = 0.0
     rows = []
     for k in range(cfg["compare.pairs"]):
-        lo = _build_initial(dict(cfg, **{"init.kind": "random-smooth"}),
-                            grid, rng)
-        bump = _build_initial(dict(cfg, **{"init.kind": "random-smooth"}),
-                              grid, rng)
-        hi = GridFunction(grid, lo.values + 0.02 + np.abs(bump.values))
-        tr_lo = evolve(lo, W_m, speed, ec)
-        tr_hi = evolve(hi, W_m, speed, ec)
-        crossing = 0.0
-        for s_lo, s_hi in zip(tr_lo.states, tr_hi.states):
-            crossing = max(crossing,
-                           float(max(0.0, -np.min(s_hi.values - s_lo.values))))
+        lo, hi = _ordered_pair(cfg, grid, rng, 0.02)
+        crossing = comparison_harness(lo, hi, W_m, speed, ec)["max_crossing"]
         worst = max(worst, crossing)
         rows.append((float(k), crossing))
     tol = cfg["check.crossing-cells"] * grid.h
@@ -494,14 +504,9 @@ def _scenario_barrier(cfg, out, man, rng):
     man.check("constant-q", abs(q - 8 * K / delta) <= 1e-15, 1e-15,
               f"q={fmt(q)}")
     man.check("conjugate-lower-bound", True, 1.0, f"m0={fmt(m0)}")
-    name, params = _speed_params(cfg)
-    speed = make_speed_law(name, cfg["grid.n"], params)
-
-    def F(p, xi):
-        return speed(p, xi)
-
+    speed = _speed(cfg)
     try:
-        fam = build_barrier(m0, A, q, W, speed=F,
+        fam = build_barrier(m0, A, q, W, speed=speed,
                             n_check=cfg["barrier.samples"])
     except BarrierConstructionError as e:
         man.check("barrier-bounds", False, -1.0, str(e))
@@ -514,7 +519,7 @@ def _scenario_barrier(cfg, out, man, rng):
     xs = rng.normal(scale=1.0, size=(cfg["barrier.samples"], W.n))
     _v, p, Hc = fam.conjugate(xs, with_derivatives=True)
     Lm = np.einsum("kij,kji->k", fam.W_m.hess(p), Hc)
-    resid = fam.beta + np.asarray(F(p, Lm))
+    resid = fam.beta + np.asarray(speed(p, Lm))
     man.check("supersolution-residual", float(np.min(resid)) >= -1e-6,
               float(np.min(resid)) + 1e-6,
               f"min residual {fmt(float(np.min(resid)))}")
@@ -526,20 +531,16 @@ def _scenario_barrier(cfg, out, man, rng):
 
 def _scenario_viscosity_test(cfg, out, man, rng):
     grid = Grid(2, cfg["grid.N"])
-    W = _build_anisotropy(dict(cfg, **{"grid.n": 2}))
+    W = _build_anisotropy(cfg)
     R = cfg["viscosity.radius"]
-    c = grid.coords()
-    d2 = sum(np.minimum(np.abs(c[..., i] - 0.5),
-                        1 - np.abs(c[..., i] - 0.5))**2 for i in range(2))
-    plus = d2 <= R**2
+    plus = np.sum(_center_offsets(grid)**2, axis=-1) <= R**2
     pair = PairOfSets(grid, np.zeros(grid.shape, bool), plus)
     sp = smooth_pair_between(pair, 2 * grid.h, 14 * grid.h)
     cert = support_from_smooth_pair(sp, W)
     man.check("certificate-defects", cert.report["defect_fraction"] <= 0.005,
               0.005 - cert.report["defect_fraction"],
               f"defects {fmt(cert.report['defect_fraction'])}")
-    name, params = _speed_params(cfg)
-    speed = make_speed_law(name, 2, params)
+    speed = _speed(cfg)
     a = cfg["resolvent.a"]
     deltas = [3 * grid.h, 6 * grid.h, 12 * grid.h]
     res = faceted_test_residual(0.0, cert.psi, W, np.array([0.5, 0.5]),
@@ -554,12 +555,11 @@ def _scenario_viscosity_test(cfg, out, man, rng):
               "essential infimum shrinks with radius")
     xi = infs[0]
     margin = 0.05 * max(abs(xi), 1e-12)
-    g_sub = -float(np.asarray(speed(np.zeros((1, 2)), np.atleast_1d(xi)))[0]) - margin
+    f0 = float(np.asarray(speed(np.zeros((1, 2)), np.atleast_1d(xi)))[0])
+    g_sub = -f0 - margin
     g_sup = g_sub + 2 * margin
-    r_sub = g_sub + float(np.asarray(speed(np.zeros((1, 2)),
-                                           np.atleast_1d(xi)))[0])
-    r_sup = g_sup + float(np.asarray(speed(np.zeros((1, 2)),
-                                           np.atleast_1d(xi)))[0])
+    r_sub = g_sub + f0
+    r_sup = g_sup + f0
     man.check("faceted-test-signs", r_sub <= 0 <= r_sup,
               min(-r_sub, r_sup))
     write_snapshot(out / "support.grid", cert.psi, 0.0)
@@ -678,13 +678,11 @@ seed = 1
 }
 
 
-def list_scenarios(file=None):
-    file = file or sys.stdout
-    print("built-in scenario templates "
-          "(run with: facetflow run <file>):", file=file)
+def list_scenarios():
+    print("built-in scenario templates (run with: facetflow run <file>):")
     for name, text in TEMPLATES.items():
-        print(f"\n--- {name} ---", file=file)
-        print(text, end="", file=file)
+        print(f"\n--- {name} ---")
+        print(text, end="")
 
 
 # ---------------------------------------------------------------------------
@@ -699,13 +697,14 @@ def run(config_path, out_dir=None, seed=None, quiet=False) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        if seed is not None:
+            cfg["seed"] = int(seed)
+            _check_value("seed", cfg["seed"])
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     if out_dir is not None:
         cfg["out.dir"] = str(out_dir)
-    if seed is not None:
-        cfg["seed"] = int(seed)
     out = Path(cfg["out.dir"])
     out.mkdir(parents=True, exist_ok=True)
     man = Manifest(cfg)
@@ -716,6 +715,9 @@ def run(config_path, out_dir=None, seed=None, quiet=False) -> int:
         _RUNNERS[cfg["scenario"]](cfg, out, man, rng)
     except (ConvergenceError, StabilityError) as e:
         man.numerical_failure(str(e))
+    except SchemaError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - t0
     (out / "manifest.txt").write_text(man.render())
     (out / "timing.txt").write_text(f"wall_clock_s = {wall:.3f}\n")

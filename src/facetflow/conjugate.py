@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .anisotropy import AnisotropyModel, MollifiedAnisotropy, mollify_anisotropy
+from .anisotropy import AnisotropyModel, MollifiedAnisotropy
 
 INF = np.inf
 
@@ -54,7 +54,7 @@ class SampledConvexFunction:
         return np.linspace(self.lo[i], self.hi[i], self.values.shape[i])
 
 
-def _lt_1d(p, f, x, inner_flags=None):
+def _lt_1d(p, f, x, inner_flags):
     """1D transform g(x) = max_j x p_j - f_j with a monotone argmax sweep.
 
     Returns (g, flags) where flags marks x nodes whose argmax either lies
@@ -66,7 +66,7 @@ def _lt_1d(p, f, x, inner_flags=None):
         return np.full(x.shape, -INF), np.zeros(x.shape, dtype=bool)
     pf = p[finite]
     ff = f[finite]
-    fl = inner_flags[finite] if inner_flags is not None else None
+    fl = inner_flags[finite]
     g = np.empty(x.shape)
     flags = np.zeros(x.shape, dtype=bool)
     M = pf.shape[0]
@@ -78,9 +78,7 @@ def _lt_1d(p, f, x, inner_flags=None):
         while j > 0 and xi * pf[j - 1] - ff[j - 1] > xi * pf[j] - ff[j]:
             j -= 1
         g[i] = xi * pf[j] - ff[j]
-        flags[i] = (j == 0) or (j == M - 1)
-        if fl is not None and fl[j]:
-            flags[i] = True
+        flags[i] = (j == 0) or (j == M - 1) or fl[j]
     return g, flags
 
 
@@ -96,8 +94,6 @@ def legendre_transform(f: SampledConvexFunction, x_lo, x_hi,
         raise ValueError("legendre_transform of an everywhere-infinite input")
     x_lo = np.atleast_1d(np.asarray(x_lo, dtype=float))
     x_hi = np.atleast_1d(np.asarray(x_hi, dtype=float))
-    if isinstance(x_shape, int):
-        x_shape = (x_shape,) * f.n
     vals = f.values
     flags = np.zeros(vals.shape, dtype=bool)
     n = f.n
@@ -123,11 +119,7 @@ def legendre_transform(f: SampledConvexFunction, x_lo, x_hi,
 
 def cap_function(p) -> np.ndarray:
     """Convex gradient cap: -log(1 - |p|^2) inside the unit ball, inf outside."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim == 0:
-        r2 = p**2
-    else:
-        r2 = np.sum(p**2, axis=-1)
+    r2 = np.sum(np.asarray(p, dtype=float)**2, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(r2 < 1.0, -np.log(np.maximum(1.0 - r2, 1e-300)), INF)
     return out
@@ -202,7 +194,6 @@ class BarrierFamily:
                                 + self.q * cap_function(pp / self.q) - w0))
 
         tol = 1e-11 * (1.0 + np.max(np.abs(x)))
-        cap = self.q * (1 - 1e-9)
         obj = objective(x, p)
         active = np.arange(B)
         for _ in range(80):
@@ -235,21 +226,10 @@ class BarrierFamily:
                 if todo.size == 0:
                     break
                 t[todo] *= 0.5
-            stalled = np.zeros(active.size, dtype=bool)
-            if todo.size:
-                # no admissible decrease: take the damped step projected
-                # onto the ball, or freeze the point at a kink optimum
-                cand = pa[todo] + t[todo, None] * step[todo]
-                r = np.sqrt(np.sum(cand**2, axis=-1, keepdims=True))
-                cand = np.where(r > cap, cand * (cap / r), cand)
-                co = objective(xa[todo], cand)
-                keep = co >= oa[todo] - 1e-14 * np.abs(oa[todo])
-                newp[todo[keep]] = cand[keep]
-                newo[todo[keep]] = co[keep]
-                stalled[todo[~keep]] = True
             p[active] = newp
             obj[active] = newo
-            active = active[~stalled]
+            # points that no halving could move are stalled: freeze them
+            active = np.delete(active, todo)
             if active.size == 0:
                 break
         val = objective(x, p)
@@ -267,11 +247,12 @@ class BarrierFamily:
 
 
 def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
-                  n_check: int = 400, tol: float = 1e-7) -> BarrierFamily:
+                  n_check: int = 400) -> BarrierFamily:
     """Construct and verify the capped-conjugate barrier family."""
     if m <= 0 or A <= 0 or q <= 0:
         raise ValueError("m, A, q must be positive")
-    W_m = mollify_anisotropy(W, m)
+    tol = 1e-7      # absolute slack of the operator bound L_m <= n/A
+    W_m = MollifiedAnisotropy(W, m)
     fam = BarrierFamily(W_m=W_m, A=float(A), q=float(q))
     rng = np.random.default_rng(7)
     xs = rng.normal(scale=max(1.0, q * A), size=(n_check, W.n))
@@ -319,10 +300,9 @@ def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
     return fam
 
 
-def beta_Aq(speed, A, q, n=None, samples=64, refine=2) -> float:
+def beta_Aq(speed, A, q, n) -> float:
     """sup |F(p, xi)| over |p| <= q, |xi| <= n/A, plus one, by sampling."""
-    if n is None:
-        n = getattr(speed, "n", 1)
+    samples = 64
     xi_max = n / A
 
     def scan(p_lo, p_hi, xi_lo, xi_hi, k):
@@ -345,7 +325,7 @@ def beta_Aq(speed, A, q, n=None, samples=64, refine=2) -> float:
     best, pb, xb = scan(lo, hi, -xi_max, xi_max, samples)
     span_p = 2 * q / (samples - 1)
     span_x = 2 * xi_max / (samples - 1)
-    for _ in range(refine):
+    for _ in range(2):
         # refinement windows stay inside the box the supremum is over
         b2, pb, xb = scan(np.maximum(pb - span_p, lo),
                           np.minimum(pb + span_p, hi),
@@ -357,8 +337,7 @@ def beta_Aq(speed, A, q, n=None, samples=64, refine=2) -> float:
     return best + 1.0
 
 
-def choose_parameters(delta, K, W: AnisotropyModel, n_sphere: int = 2048,
-                      n_verify: int = 1000, m_max: float = 2**16):
+def choose_parameters(delta, K, W: AnisotropyModel, n_verify: int = 1000):
     """Barrier constants: mu by sphere sampling, then A, q, and m0 by doubling.
 
     Returns (m0, A, q, mu).  Verifies the conjugate lower bound 2K on a
@@ -369,7 +348,7 @@ def choose_parameters(delta, K, W: AnisotropyModel, n_sphere: int = 2048,
     if W.n == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        th = np.linspace(0, 2 * np.pi, n_sphere, endpoint=False)
+        th = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
         dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
     half = 0.5 * dirs
     mu = float(np.max(W.eval(half) + cap_function(half)))
@@ -377,8 +356,8 @@ def choose_parameters(delta, K, W: AnisotropyModel, n_sphere: int = 2048,
     q = 8.0 * K / delta
     m0 = None
     m = 1.0
-    while m <= m_max:
-        W_m = mollify_anisotropy(W, m)
+    while m <= 2**16:
+        W_m = MollifiedAnisotropy(W, m)
         pts = (q / 2.0) * dirs
         w0 = float(W_m.eval(np.zeros((1, W.n)))[0])
         gap = np.max(np.abs(W_m.eval(pts) - w0 - W.eval(pts)))
@@ -387,8 +366,8 @@ def choose_parameters(delta, K, W: AnisotropyModel, n_sphere: int = 2048,
             break
         m *= 2.0
     if m0 is None:
-        raise ParameterError("no m0 found up to m_max")
-    fam = BarrierFamily(W_m=mollify_anisotropy(W, m0), A=A, q=q)
+        raise ParameterError("no m0 found up to m = 2^16")
+    fam = BarrierFamily(W_m=MollifiedAnisotropy(W, m0), A=A, q=q)
     rng = np.random.default_rng(11)
     radii = rng.uniform(delta, max(2.0, 2 * delta), size=n_verify)
     if W.n == 1:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import (Grid, GridFunction, backward_divergence, forward_gradient,
                    lipschitz_constant)
-from .resolvent import ResolventConfig, curvature_dq, essinf_ball
+from .resolvent import curvature_dq, essinf_ball
 
 
 class StabilityError(RuntimeError):

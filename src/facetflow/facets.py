@@ -61,6 +61,13 @@ def rho_neighborhood(grid: Grid, mask: np.ndarray, rho: float) -> np.ndarray:
     return ~_dilate_cells(grid, ~mask, k)
 
 
+def _distance_to(grid: Grid, mask: np.ndarray) -> np.ndarray:
+    """Periodic Euclidean distance from every node to the nearest mask node."""
+    tiled = np.tile(mask, (3,) * grid.n)
+    d = ndimage.distance_transform_edt(~tiled, sampling=grid.h)
+    return d[tuple(slice(grid.N, 2 * grid.N) for _ in range(grid.n))]
+
+
 def signed_distance(grid: Grid, mask: np.ndarray) -> GridFunction:
     """Periodic signed distance dist(x, A) - dist(x, A^c), exact Euclidean.
 
@@ -74,12 +81,8 @@ def signed_distance(grid: Grid, mask: np.ndarray) -> GridFunction:
         return GridFunction(grid, np.full(grid.shape, 2.0))
     if np.all(mask):
         return GridFunction(grid, np.full(grid.shape, -2.0))
-    tiled = np.tile(mask, (3,) * grid.n)
-    d_to_set = ndimage.distance_transform_edt(~tiled, sampling=grid.h)
-    d_to_compl = ndimage.distance_transform_edt(tiled, sampling=grid.h)
-    sl = tuple(slice(grid.N, 2 * grid.N) for _ in range(grid.n))
-    vals = np.where(mask, -(d_to_compl[sl] - 0.5 * grid.h),
-                    d_to_set[sl] - 0.5 * grid.h)
+    vals = np.where(mask, -(_distance_to(grid, ~mask) - 0.5 * grid.h),
+                    _distance_to(grid, mask) - 0.5 * grid.h)
     return GridFunction(grid, vals)
 
 
@@ -95,10 +98,7 @@ def mask_distance(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
         return 2.0
     if np.any(a & b):
         return 0.0
-    tiled = np.tile(b, (3,) * grid.n)
-    d = ndimage.distance_transform_edt(~tiled, sampling=grid.h)
-    sl = tuple(slice(grid.N, 2 * grid.N) for _ in range(grid.n))
-    return float(np.min(d[sl][a]))
+    return float(np.min(_distance_to(grid, b)[a]))
 
 
 @dataclass

@@ -7,7 +7,7 @@ grey-scale morphology (erosion/dilation over grid balls) and mollification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -98,12 +98,6 @@ class GridFunction:
             raise ValueError("GridFunction values must be finite")
 
     @classmethod
-    def from_function(cls, grid: Grid, f) -> "GridFunction":
-        c = grid.coords()
-        vals = f(*(c[..., i] for i in range(grid.n)))
-        return cls(grid, np.broadcast_to(np.asarray(vals, float), grid.shape).copy())
-
-    @classmethod
     def constant(cls, grid: Grid, c: float) -> "GridFunction":
         return cls(grid, np.full(grid.shape, float(c)))
 
@@ -128,10 +122,6 @@ class GridVectorField:
                 f"values shape {self.values.shape} != {self.grid.shape + (self.grid.n,)}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridVectorField values must be finite")
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "GridVectorField":
-        return cls(grid, np.zeros(grid.shape + (grid.n,)))
 
 
 def _check_same_grid(a, b):
@@ -175,26 +165,29 @@ def gradient_centered(u: GridFunction) -> GridVectorField:
     return GridVectorField(u.grid, np.stack(comps, axis=-1))
 
 
-def erode(u: GridFunction, eta: float) -> GridFunction:
-    """Pointwise infimum of u over the closed grid ball of radius eta."""
+def _morph(u: GridFunction, eta: float, op, what: str) -> GridFunction:
+    """Grey-scale filter op over the closed grid ball of radius eta."""
     if eta < 0:
-        raise ValueError(f"erosion radius must be nonnegative, got {eta}")
+        raise ValueError(f"{what} radius must be nonnegative, got {eta}")
     fp = u.grid.ball_footprint(eta)
     if fp.size == 1:
         return u.copy()
-    out = ndimage.grey_erosion(u.values, footprint=fp, mode="wrap")
-    return GridFunction(u.grid, out)
+    return GridFunction(u.grid, op(u.values, footprint=fp, mode="wrap"))
+
+
+def erode(u: GridFunction, eta: float) -> GridFunction:
+    """Pointwise infimum of u over the closed grid ball of radius eta."""
+    return _morph(u, eta, ndimage.grey_erosion, "erosion")
 
 
 def dilate(u: GridFunction, eta: float) -> GridFunction:
     """Pointwise supremum of u over the closed grid ball of radius eta."""
-    if eta < 0:
-        raise ValueError(f"dilation radius must be nonnegative, got {eta}")
-    fp = u.grid.ball_footprint(eta)
-    if fp.size == 1:
-        return u.copy()
-    out = ndimage.grey_dilation(u.values, footprint=fp, mode="wrap")
-    return GridFunction(u.grid, out)
+    return _morph(u, eta, ndimage.grey_dilation, "dilation")
+
+
+def bump(r2):
+    """Unnormalized bump exp(-1 / (1 - r2)) of a squared radius, 0 for r2 >= 1."""
+    return np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
 
 
 def mollify(u: GridFunction, radius: float) -> GridFunction:
@@ -204,8 +197,7 @@ def mollify(u: GridFunction, radius: float) -> GridFunction:
     k = max(1, int(np.floor(radius / u.grid.h + 1e-9)))
     g = np.arange(-k, k + 1, dtype=float)
     mesh = np.meshgrid(*([g] * u.grid.n), indexing="ij")
-    r2 = sum(m**2 for m in mesh) / (k + 0.5) ** 2
-    w = np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
+    w = bump(sum(m**2 for m in mesh) / (k + 0.5) ** 2)
     w /= w.sum()
     out = ndimage.correlate(u.values, w, mode="wrap")
     return GridFunction(u.grid, out)

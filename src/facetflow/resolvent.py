@@ -12,12 +12,14 @@ subdifferential of E, the nonlocal curvature that drives the flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (GridFunction, GridVectorField, backward_divergence,
                    forward_gradient, gradient_fd)
+
+_GAP_CHECK_EVERY = 25    # PD iterations between duality-gap evaluations
 
 
 class ConvergenceError(RuntimeError):
@@ -28,9 +30,7 @@ class ConvergenceError(RuntimeError):
 class ResolventConfig:
     a: float
     max_iter: int = 20000
-    gap_tol: float = 0.0      # absolute duality-gap target; 0 -> relative
     rel_gap_tol: float = 1e-12
-    check_every: int = 25
 
     def __post_init__(self):
         if self.a <= 0:
@@ -44,7 +44,6 @@ class ResolventReport:
     gap_tol: float
     converged: bool
     l2_error_bound: float
-    extras: dict = field(default_factory=dict)
 
 
 def total_variation_energy(u: GridFunction, W) -> float:
@@ -81,10 +80,8 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
     voln = h**n
 
     gap = np.inf
-    gap_tol = config.gap_tol
-    if gap_tol <= 0:
-        scale = max(float(np.sum(psi_v**2)) * voln, 1e-30)
-        gap_tol = config.rel_gap_tol * scale / a
+    scale = max(float(np.sum(psi_v**2)) * voln, 1e-30)
+    gap_tol = config.rel_gap_tol * scale / a
     it = 0
     for it in range(1, config.max_iter + 1):
         z = z + sigma * forward_gradient(v_bar, h)
@@ -96,7 +93,7 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
         tau *= theta
         sigma /= theta
         v_bar = v + theta * (v - v_old)
-        if it % config.check_every == 0 or it == config.max_iter:
+        if it % _GAP_CHECK_EVERY == 0 or it == config.max_iter:
             dz = backward_divergence(z, h)
             v_rec = psi_v + a * dz
             primal = (float(np.sum(W.eval(forward_gradient(v_rec, h)))) * voln
@@ -191,10 +188,9 @@ def monotonicity_check(psi_lo: GridFunction, psi_hi: GridFunction, W, a: float,
     should give (psi_lo)_a <= (psi_hi)_a.  Reports the worst violation."""
     if np.any(psi_lo.values > psi_hi.values):
         raise ValueError("inputs are not ordered")
-    cfg_lo = ResolventConfig(a=a, **kw)
-    cfg_hi = ResolventConfig(a=a, **kw)
-    lo_a, _, rep_lo = resolve_singular(psi_lo, W, cfg_lo)
-    hi_a, _, rep_hi = resolve_singular(psi_hi, W, cfg_hi)
+    cfg = ResolventConfig(a=a, **kw)
+    lo_a, _, rep_lo = resolve_singular(psi_lo, W, cfg)
+    hi_a, _, rep_hi = resolve_singular(psi_hi, W, cfg)
     gapv = hi_a.values - lo_a.values
     return {
         "violation": float(max(0.0, -np.min(gapv))),

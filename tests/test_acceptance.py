@@ -23,6 +23,9 @@ from facetflow.resolvent import (ResolventConfig, curvature_dq,
                                  monotonicity_check, resolve_singular,
                                  resolvent_bruteforce)
 
+# the battery takes about ten minutes; `pytest -m "not slow"` leaves it out
+pytestmark = pytest.mark.slow
+
 
 def _report(num, name, ok):
     print(f"[acceptance {num:02d}] {name}: {'PASS' if ok else 'FAIL'}")

@@ -8,8 +8,7 @@ from facetflow.anisotropy import (EllipticAnisotropy, EuclideanAnisotropy,
                                   MollifiedAnisotropy, PowerFourAnisotropy,
                                   SingularGradientError, dual_norm,
                                   k_operator, make_anisotropy,
-                                  mollify_anisotropy, subdifferential_contains,
-                                  wulff_membership)
+                                  subdifferential_contains, wulff_membership)
 
 MODELS = [EuclideanAnisotropy(2), EllipticAnisotropy(np.diag([4.0, 1.0])),
           PowerFourAnisotropy(2)]
@@ -193,5 +192,3 @@ def test_make_anisotropy_factory():
     assert isinstance(W, EllipticAnisotropy)
     with pytest.raises(KeyError):
         make_anisotropy("unknown", 2)
-    Wm = mollify_anisotropy(make_anisotropy("euclidean", 1), 8.0)
-    assert isinstance(Wm, MollifiedAnisotropy)

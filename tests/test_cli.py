@@ -1,5 +1,6 @@
 """Scenario runner: config schema, artifacts, exit codes, determinism."""
 
+import ast
 import filecmp
 import os
 import subprocess
@@ -11,12 +12,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import facetflow
+import facetflow.cli
 from facetflow.cli import (SCENARIO_KINDS, SchemaError, TEMPLATES, _SCHEMA,
                            fmt, main, parse_config, read_snapshot,
                            write_snapshot)
 from facetflow.grid import Grid, GridFunction
 
 FLOAT_KEYS = sorted(k for k, row in _SCHEMA.items() if row[0] is float)
+INT_KEYS = sorted(k for k, row in _SCHEMA.items() if row[0] is int)
+# documented closed range of every int key (None: unbounded above)
+INT_RANGES = {"seed": (0, None), "grid.n": (1, 2), "grid.N": (8, 4096),
+              "check.samples": (1, None), "resolvent.max-iter": (1, None),
+              "mono.pairs": (1, None), "evolve.record-every": (0, None),
+              "check.peak-law": (0, 1), "compare.pairs": (1, None),
+              "barrier.samples": (1, None)}
 
 
 def test_all_templates_parse():
@@ -59,6 +68,36 @@ def test_parse_float_keys_finite_or_schema_error(key, text):
     except SchemaError:
         return
     assert all(np.isfinite(v) for v in cfg.values() if isinstance(v, float))
+
+
+def test_int_ranges_cover_every_int_key():
+    assert sorted(INT_RANGES) == INT_KEYS
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(INT_KEYS), value=st.integers())
+def test_parse_int_keys_in_range_or_schema_error(key, value):
+    kinds = _SCHEMA[key][1]
+    kind = kinds[0] if kinds else "resolvent"
+    try:
+        cfg = parse_config(f"scenario = {kind}\n{key} = {value}\n")
+    except SchemaError:
+        return
+    lo, hi = INT_RANGES[key]
+    assert cfg[key] == value and lo <= value and (hi is None or value <= hi)
+
+
+def test_every_schema_key_is_read():
+    """Every key other than scenario, seed and out.dir is read by name
+    outside the schema table, so no key is accepted and then ignored."""
+    tree = ast.parse(Path(facetflow.cli.__file__).read_text())
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.Assign)
+                         and [t.id for t in node.targets] == ["_SCHEMA"])]
+    names = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = set(_SCHEMA) - names - {"scenario", "seed", "out.dir"}
+    assert not unread
 
 
 def test_parse_comments_and_defaults():
@@ -107,6 +146,47 @@ def test_run_nonfinite_value_exits_2(tmp_path):
     cfg.write_text("scenario = resolvent\nresolvent.a = nan\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
                  "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "scenario = anisotropy-check\ncheck.samples = 0\n",
+    "scenario = barrier\nbarrier.samples = 0\n",
+    "scenario = anisotropy-check\nseed = -1\n",
+    "scenario = anisotropy-check\ngrid.n = 2\nanisotropy.model = elliptic\n"
+    "anisotropy.diag = -1,1\n",
+    "scenario = anisotropy-check\ngrid.n = 2\nanisotropy.model = elliptic\n"
+    "anisotropy.diag = 1\n",
+    "scenario = monotonicity\nmono.pairs = -2\n",
+])
+def test_run_out_of_range_int_or_diag_exits_2(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+
+
+def test_run_negative_seed_option_exits_2(tmp_path):
+    cfg = tmp_path / "a.cfg"
+    cfg.write_text(TEMPLATES["anisotropy-check"])
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                 "--seed", "-3", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("scenario", ["evolve", "compare"])
+def test_run_over_step_budget_exits_2(tmp_path, scenario):
+    """evolve.t-end = 1e300 would plan ~1e305 explicit steps; the run is
+    refused before the first one."""
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text(f"scenario = {scenario}\ngrid.n = 1\ngrid.N = 64\n"
+                   "evolve.t-end = 1e300\n")
+    src = str(Path(facetflow.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "facetflow.cli", "run", str(cfg),
+         "--out", str(tmp_path / "out"), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert out.returncode == 2
+    assert "budget" in out.stderr
 
 
 def test_import_leaves_scipy_sparse_out():
