@@ -16,7 +16,7 @@ from .grid import (Grid, GridFunction, GridVectorField, GridMismatchError,
 from .anisotropy import (AnisotropyModel, EuclideanAnisotropy,
                          EllipticAnisotropy, PowerFourAnisotropy,
                          MollifiedAnisotropy, SingularGradientError,
-                         dual_norm, wulff_membership, subdifferential_contains,
+                         wulff_membership, subdifferential_contains,
                          k_operator, make_anisotropy)
 from .conjugate import (SampledConvexFunction, legendre_transform,
                         BarrierFamily, build_barrier, beta_Aq,
@@ -32,8 +32,7 @@ from .resolvent import (ResolventConfig, ResolventReport, ConvergenceError,
                         total_variation_energy, resolve_singular,
                         resolvent_bruteforce, curvature_dq, essinf_ball,
                         esssup_ball, facet_interior, monotonicity_check)
-from .evolution import (SpeedLaw, StabilityError, tv_flow, graph_flow,
-                        driven_flow, make_speed_law, EvolutionConfig,
+from .evolution import (SpeedLaw, StabilityError, tv_flow, EvolutionConfig,
                         EvolutionTrace, evolve, stable_dt, step_explicit,
                         sample_state, comparison_harness, lipschitz_monitor,
                         m_refinement_study, conventional_test_residual,

@@ -249,49 +249,6 @@ class PowerFourAnisotropy(AnisotropyModel):
         return out
 
 
-def dual_norm(W: AnisotropyModel, x) -> float:
-    """Numeric dual norm sup{x.p : W(p) <= 1} by direction search.
-
-    One-homogeneous in x.  Uses a dense direction grid followed by
-    golden-section refinement on the direction angle (2D).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    nrm = float(np.sqrt(np.sum(x**2)))
-    if nrm == 0.0:
-        return 0.0
-    xhat = x / nrm
-    if W.n == 1:
-        best = max(xhat[0] / W.eval(np.array([1.0])),
-                   -xhat[0] / W.eval(np.array([-1.0])))
-        return float(nrm * best)
-
-    def val(theta):
-        d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        return (d @ xhat) / W.eval(d)
-
-    thetas = np.linspace(0.0, 2 * np.pi, 1024, endpoint=False)
-    vals = val(thetas)
-    i = int(np.argmax(vals))
-    lo = thetas[i] - 2 * np.pi / 1024
-    hi = thetas[i] + 2 * np.pi / 1024
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = val(np.array([c]))[0], val(np.array([d]))[0]
-    # the bracket shrinks by invphi per step: < 1e-13 within 54 steps
-    while b - a >= 1e-13:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = val(np.array([c]))[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = val(np.array([d]))[0]
-    return float(nrm * max(fc, fd))
-
-
 def wulff_membership(W: AnisotropyModel, z, tol: float = 1e-9) -> bool:
     """True iff z lies in the Wulff set {W° <= 1} up to tol."""
     return float(W.gauge(np.atleast_1d(np.asarray(z, float)))) <= 1.0 + tol

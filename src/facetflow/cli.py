@@ -31,13 +31,13 @@ from . import __version__
 from .anisotropy import MollifiedAnisotropy, make_anisotropy
 from .conjugate import (BarrierConstructionError, ParameterError,
                         build_barrier, choose_parameters)
-from .evolution import (EvolutionConfig, StabilityError, comparison_harness,
-                        evolve, faceted_test_residual, lipschitz_monitor,
-                        make_speed_law, stable_dt)
+from .evolution import (LIPSCHITZ_SLACK, EvolutionConfig, SpeedLaw,
+                        StabilityError, comparison_harness, evolve,
+                        faceted_test_residual, lipschitz_monitor, stable_dt)
 from .facets import PairOfSets, smooth_pair_between, support_from_smooth_pair
 from .grid import Grid, GridFunction
 from .resolvent import (ConvergenceError, ResolventConfig, curvature_dq,
-                        essinf_ball, resolve_singular)
+                        essinf_ball, monotonicity_check, resolve_singular)
 
 
 class SchemaError(ValueError):
@@ -61,10 +61,11 @@ SCENARIO_KINDS = ("anisotropy-check", "resolvent", "curvature", "monotonicity",
 # documented schema, one row per key: its type, the scenario kinds that
 # accept it (None for all), its default (None: left out of the parsed
 # config unless set) and its allowed values (None for any, a tuple or
-# range of admissible values, _POSITIVE or _NONNEGATIVE).  Float values
-# must be finite.
+# range of admissible values, _POSITIVE, _NONNEGATIVE or _AT_LEAST_ONE).
+# Float values must be finite.
 _POSITIVE = "positive"
 _NONNEGATIVE = "nonnegative"
+_AT_LEAST_ONE = "at least 1"
 _RESOLVE = ("resolvent", "curvature", "monotonicity", "viscosity-test")
 _FLOW = ("evolve", "compare")
 _SPEED = ("evolve", "compare", "barrier", "viscosity-test")
@@ -89,25 +90,18 @@ _SCHEMA = {
     "resolvent.max-iter": (int, _RESOLVE, 100000, _POSITIVE),
     "resolvent.rel-gap-tol": (float, _RESOLVE, 1e-10, None),
     "curvature.a": (float, ("curvature",), 0.001, _POSITIVE),
-    "check.curvature-rel-tol": (float, ("curvature",), 0.1, None),
     "mono.pairs": (int, ("monotonicity",), 5, _POSITIVE),
-    "check.violation-tol": (float, ("monotonicity",), 1e-6, None),
-    "evolve.m": (float, _FLOW, 16.0, _POSITIVE),
+    "evolve.m": (float, _FLOW, 16.0, _AT_LEAST_ONE),
     "evolve.t-end": (float, _FLOW, 0.001, _POSITIVE),
     "evolve.cfl": (float, _FLOW, 0.4, _POSITIVE),
-    "evolve.speed": (str, _SPEED, "tv_flow",
-                     ("tv_flow", "graph_flow", "driven_flow")),
-    "evolve.scale": (float, _SPEED, 1.0, None),
+    "evolve.scale": (float, _SPEED, 1.0, _POSITIVE),
     "evolve.forcing": (float, _FLOW, 0.0, None),
     "evolve.record-every": (int, _FLOW, 0, _NONNEGATIVE),
     "check.peak-law": (int, ("evolve",), 0, (0, 1)),
-    "check.lipschitz-slack": (float, _FLOW, 1e-3, None),
     "compare.pairs": (int, ("compare",), 3, _POSITIVE),
-    "check.crossing-cells": (float, ("compare",), 10.0, None),
     "barrier.delta": (float, ("barrier",), 0.5, _POSITIVE),
     "barrier.K": (float, ("barrier",), 2.0, _POSITIVE),
     "barrier.samples": (int, ("barrier",), 400, _POSITIVE),
-    "barrier.t": (float, ("barrier",), 0.01, None),
     "viscosity.radius": (float, ("viscosity-test",), 0.2, None),
 }
 
@@ -158,6 +152,9 @@ def _check_value(key, value):
     elif allowed == _NONNEGATIVE:
         if value < 0:
             raise SchemaError(f"{key} must be nonnegative")
+    elif allowed == _AT_LEAST_ONE:
+        if value < 1:
+            raise SchemaError(f"{key} must be at least 1")
     elif allowed is not None and value not in allowed:
         raise SchemaError(f"{key} must be one of {_describe(allowed)}")
 
@@ -191,14 +188,10 @@ def _build_anisotropy(cfg):
     return make_anisotropy(cfg["anisotropy.model"], _dimension(cfg), params)
 
 
-def _speed(cfg):
-    name = cfg["evolve.speed"]
-    params = {}
-    if name != "tv_flow":
-        params["s"] = cfg["evolve.scale"]
-    if name == "driven_flow":
-        params["c"] = cfg["evolve.forcing"]
-    return make_speed_law(name, _dimension(cfg), params)
+def _resolvent_kw(cfg):
+    """Solver limits shared by every resolvent scenario."""
+    return {"max_iter": cfg["resolvent.max-iter"],
+            "rel_gap_tol": cfg["resolvent.rel-gap-tol"]}
 
 
 def _center_offsets(grid: Grid) -> np.ndarray:
@@ -251,6 +244,12 @@ class Manifest:
 
     def check(self, name, passed, margin, note=""):
         self.checks.append((name, bool(passed), float(margin), note))
+
+    def check_target(self, name, measured, target, tol, label="measured"):
+        """Pass when |measured - target| <= tol."""
+        err = abs(measured - target)
+        self.check(name, err <= tol, tol - err,
+                   f"{label} {fmt(measured)} target {fmt(target)}")
 
     def numerical_failure(self, note):
         self.failures.append(note)
@@ -338,8 +337,7 @@ def _scenario_resolvent(cfg, out, man, rng):
     W = _build_anisotropy(cfg)
     psi = _build_initial(cfg, grid, rng)
     a = cfg["resolvent.a"]
-    rc = ResolventConfig(a=a, max_iter=cfg["resolvent.max-iter"],
-                         rel_gap_tol=cfg["resolvent.rel-gap-tol"])
+    rc = ResolventConfig(a=a, **_resolvent_kw(cfg))
     psi_a, _z, rep = resolve_singular(psi, W, rc)
     write_snapshot(out / "input.grid", psi, 0.0)
     write_snapshot(out / "resolvent.grid", psi_a, a)
@@ -353,13 +351,9 @@ def _scenario_resolvent(cfg, out, man, rng):
         s = cfg["init.slope"]
         half_len, drop = _tent_measurements(psi, psi_a, s)
         tgt_len, tgt_drop = np.sqrt(2 * a / s), np.sqrt(2 * a * s)
-        tol_len = max(3 * grid.h, 0.05 * tgt_len)
-        man.check("facet-half-length", abs(half_len - tgt_len) <= tol_len,
-                  tol_len - abs(half_len - tgt_len),
-                  f"measured {fmt(half_len)} target {fmt(tgt_len)}")
-        man.check("peak-drop", abs(drop - tgt_drop) <= 0.05 * tgt_drop,
-                  0.05 * tgt_drop - abs(drop - tgt_drop),
-                  f"measured {fmt(drop)} target {fmt(tgt_drop)}")
+        man.check_target("facet-half-length", half_len, tgt_len,
+                         max(3 * grid.h, 0.05 * tgt_len))
+        man.check_target("peak-drop", drop, tgt_drop, 0.05 * tgt_drop)
         cols += ["half_length", "target_half_length", "drop", "target_drop"]
         row += [half_len, tgt_len, drop, tgt_drop]
     man.check("gap-certified", rep.converged, rep.gap_tol - rep.gap)
@@ -371,8 +365,7 @@ def _scenario_curvature(cfg, out, man, rng):
     W = _build_anisotropy(cfg)
     psi = _build_initial(cfg, grid, rng)
     a = cfg["curvature.a"]
-    lam = curvature_dq(psi, W, a, max_iter=cfg["resolvent.max-iter"],
-                       rel_gap_tol=cfg["resolvent.rel-gap-tol"])
+    lam = curvature_dq(psi, W, a, **_resolvent_kw(cfg))
     write_snapshot(out / "input.grid", psi, 0.0)
     write_snapshot(out / "curvature.grid", lam, 0.0)
     rows = [(0.0, a, float(np.min(lam.values)), float(np.max(lam.values)))]
@@ -384,10 +377,7 @@ def _scenario_curvature(cfg, out, man, rng):
         facet = d2 <= (R - delta - 4 * grid.h)**2
         val = float(np.mean(lam.values[facet]))
         target = -2.0 / R
-        tol = cfg["check.curvature-rel-tol"] * abs(target)
-        man.check("disk-curvature", abs(val - target) <= tol,
-                  tol - abs(val - target),
-                  f"measured {fmt(val)} target {fmt(target)}")
+        man.check_target("disk-curvature", val, target, 0.1 * abs(target))
         rows[0] = rows[0] + (val, target)
     cols = ["time", "a", "min", "max"] + (
         ["facet_mean", "facet_target"] if len(rows[0]) == 6 else [])
@@ -398,22 +388,19 @@ def _scenario_curvature(cfg, out, man, rng):
 def _scenario_monotonicity(cfg, out, man, rng):
     grid = Grid(cfg["grid.n"], cfg["grid.N"])
     W = _build_anisotropy(cfg)
-    a = cfg["resolvent.a"]
-    rc = ResolventConfig(a=a, max_iter=cfg["resolvent.max-iter"],
-                         rel_gap_tol=cfg["resolvent.rel-gap-tol"])
+    pad = 0.2 * abs(cfg["init.amplitude"])    # hi >= lo for either sign
     worst = 0.0
     rows = []
     for k in range(cfg["mono.pairs"]):
-        lo, hi = _ordered_pair(cfg, grid, rng, 0.2 * cfg["init.amplitude"])
-        lo_a, _, rep1 = resolve_singular(lo, W, rc)
-        hi_a, _, rep2 = resolve_singular(hi, W, rc)
-        if not (rep1.converged and rep2.converged):
+        lo, hi = _ordered_pair(cfg, grid, rng, pad)
+        res = monotonicity_check(lo, hi, W, cfg["resolvent.a"],
+                                 **_resolvent_kw(cfg))
+        rep_lo, rep_hi = res["reports"]
+        if not (rep_lo.converged and rep_hi.converged):
             man.numerical_failure(f"pair {k}: resolvent gap not certified")
-        v = float(max(0.0, -np.min(hi_a.values - lo_a.values)))
-        worst = max(worst, v)
-        rows.append((float(k), v, rep1.gap, rep2.gap))
-    tol = cfg["check.violation-tol"]
-    man.check("order-preserved", worst <= tol, tol - worst,
+        worst = max(worst, res["violation"])
+        rows.append((float(k), res["violation"], rep_lo.gap, rep_hi.gap))
+    man.check("order-preserved", worst <= 1e-6, 1e-6 - worst,
               f"worst violation {fmt(worst)}")
     write_series(out / "series.csv", ["time", "violation", "gap_lo", "gap_hi"],
                  rows)
@@ -424,11 +411,11 @@ def _explicit_setup(cfg):
     for a CFL constant over 1 and SchemaError over _MAX_STEPS steps."""
     grid = Grid(cfg["grid.n"], cfg["grid.N"])
     W_m = MollifiedAnisotropy(_build_anisotropy(cfg), cfg["evolve.m"])
-    speed = _speed(cfg)
+    speed = SpeedLaw(cfg["evolve.scale"], cfg["evolve.forcing"])
     if cfg["evolve.cfl"] > 1.0:
         raise StabilityError(
             f"CFL constant {cfg['evolve.cfl']} exceeds the explicit-scheme "
-            "bound 1 (dt would exceed h^2 / (2 n a_m lip_xi))")
+            "bound 1 (dt would exceed h^2 / (2 n a_m xi_scale))")
     steps = np.ceil(cfg["evolve.t-end"]
                     / stable_dt(grid, W_m, speed, cfg["evolve.cfl"]))
     if steps > _MAX_STEPS:
@@ -442,8 +429,7 @@ def _scenario_evolve(cfg, out, man, rng):
     grid, W_m, speed = _explicit_setup(cfg)
     u0 = _build_initial(cfg, grid, rng)
     ec = EvolutionConfig(t_end=cfg["evolve.t-end"], cfl=cfg["evolve.cfl"],
-                         record_every=cfg["evolve.record-every"],
-                         lipschitz_slack=cfg["check.lipschitz-slack"])
+                         record_every=cfg["evolve.record-every"])
     trace = evolve(u0, W_m, speed, ec)
     write_snapshot(out / "initial.grid", u0, 0.0)
     write_snapshot(out / "final.grid", trace.final(), trace.times[-1])
@@ -459,18 +445,15 @@ def _scenario_evolve(cfg, out, man, rng):
         ["peak_target"] if cfg["check.peak-law"] else [])
     write_series(out / "series.csv", cols, rows)
     mon = lipschitz_monitor(trace)
-    slack = cfg["check.lipschitz-slack"]
-    budget = mon["initial"] * (1 + slack) + slack
+    budget = mon["initial"] * (1 + LIPSCHITZ_SLACK) + LIPSCHITZ_SLACK
     man.check("lipschitz-bound", mon["max"] <= budget, budget - mon["max"],
               f"max {fmt(mon['max'])} initial {fmt(mon['initial'])}")
     if cfg["check.peak-law"]:
         t = trace.times[-1]
         target = float(np.max(u0.values)) - np.sqrt(2 * s_eff * t)
         peak = float(np.max(trace.final().values))
-        tol = 0.05 * abs(float(np.max(u0.values)) - target)
-        man.check("peak-law", abs(peak - target) <= tol,
-                  tol - abs(peak - target),
-                  f"peak {fmt(peak)} target {fmt(target)}")
+        man.check_target("peak-law", peak, target,
+                         0.05 * abs(float(np.max(u0.values)) - target), "peak")
 
 
 def _scenario_compare(cfg, out, man, rng):
@@ -484,7 +467,7 @@ def _scenario_compare(cfg, out, man, rng):
         crossing = comparison_harness(lo, hi, W_m, speed, ec)["max_crossing"]
         worst = max(worst, crossing)
         rows.append((float(k), crossing))
-    tol = cfg["check.crossing-cells"] * grid.h
+    tol = 10 * grid.h
     man.check("no-crossing", worst <= tol, tol - worst,
               f"worst crossing {fmt(worst)}")
     write_series(out / "series.csv", ["time", "crossing"], rows)
@@ -504,7 +487,7 @@ def _scenario_barrier(cfg, out, man, rng):
     man.check("constant-q", abs(q - 8 * K / delta) <= 1e-15, 1e-15,
               f"q={fmt(q)}")
     man.check("conjugate-lower-bound", True, 1.0, f"m0={fmt(m0)}")
-    speed = _speed(cfg)
+    speed = SpeedLaw(cfg["evolve.scale"], cfg["evolve.forcing"])
     try:
         fam = build_barrier(m0, A, q, W, speed=speed,
                             n_check=cfg["barrier.samples"])
@@ -523,8 +506,7 @@ def _scenario_barrier(cfg, out, man, rng):
     man.check("supersolution-residual", float(np.min(resid)) >= -1e-6,
               float(np.min(resid)) + 1e-6,
               f"min residual {fmt(float(np.min(resid)))}")
-    rows = [(cfg["barrier.t"], fam.beta, float(np.min(resid)),
-             float(np.max(Lm)))]
+    rows = [(0.0, fam.beta, float(np.min(resid)), float(np.max(Lm)))]
     write_series(out / "series.csv",
                  ["time", "beta", "min_residual", "Lm_max"], rows)
 
@@ -540,22 +522,19 @@ def _scenario_viscosity_test(cfg, out, man, rng):
     man.check("certificate-defects", cert.report["defect_fraction"] <= 0.005,
               0.005 - cert.report["defect_fraction"],
               f"defects {fmt(cert.report['defect_fraction'])}")
-    speed = _speed(cfg)
-    a = cfg["resolvent.a"]
     deltas = [3 * grid.h, 6 * grid.h, 12 * grid.h]
+    speed = SpeedLaw(cfg["evolve.scale"], cfg["evolve.forcing"])
     res = faceted_test_residual(0.0, cert.psi, W, np.array([0.5, 0.5]),
-                                deltas, a, speed,
-                                max_iter=cfg["resolvent.max-iter"],
-                                rel_gap_tol=cfg["resolvent.rel-gap-tol"])
+                                deltas, cfg["resolvent.a"], speed,
+                                **_resolvent_kw(cfg))
     lam = res["curvature"]
     infs = [essinf_ball(lam, np.array([0.5, 0.5]), d) for d in deltas]
     mono = all(b <= a_ + 1e-12 for a_, b in zip(infs, infs[1:]))
     man.check("essinf-monotone", mono,
               min((a_ - b for a_, b in zip(infs, infs[1:])), default=0.0),
               "essential infimum shrinks with radius")
-    xi = infs[0]
-    margin = 0.05 * max(abs(xi), 1e-12)
-    f0 = float(np.asarray(speed(np.zeros((1, 2)), np.atleast_1d(xi)))[0])
+    margin = 0.05 * max(abs(infs[0]), 1e-12)
+    f0 = res["residuals"][float(deltas[0])]   # g' = 0: F(0, infs[0])
     g_sub = -f0 - margin
     g_sup = g_sub + 2 * margin
     r_sub = g_sub + f0
@@ -615,7 +594,6 @@ init.radius = 0.2
 init.amplitude = 0.05
 curvature.a = 0.0002
 resolvent.rel-gap-tol = 1e-5
-check.curvature-rel-tol = 0.1
 seed = 1
 """,
     "monotonicity-2d": """\

@@ -22,6 +22,11 @@ from .grid import (Grid, GridFunction, backward_divergence, forward_gradient,
 from .resolvent import curvature_dq, essinf_ball
 
 
+# relative and absolute growth of the Lipschitz seminorm that an explicit
+# run tolerates as scheme error before it counts as unstable
+LIPSCHITZ_SLACK = 1e-3
+
+
 class StabilityError(RuntimeError):
     """The explicit scheme detected a stability violation."""
 
@@ -30,22 +35,16 @@ class StabilityError(RuntimeError):
 class SpeedLaw:
     """The affine law F(p, xi) = -xi_scale xi + forcing.
 
-    xi_scale must be positive, which keeps F nonincreasing in xi; name
-    tags the law in configs and reports.
+    xi_scale must be positive, which keeps F nonincreasing in xi; it is
+    also |dF/dxi|, which sets the explicit time-step restriction.
     """
 
     xi_scale: float
     forcing: float = 0.0
-    name: str = "custom"
 
     def __post_init__(self):
         if not self.xi_scale > 0:
             raise ValueError("speed scale must be positive")
-
-    @property
-    def lip_xi(self) -> float:
-        """|dF/dxi|, which sets the explicit time-step restriction."""
-        return self.xi_scale
 
     def __call__(self, p, xi):
         return -self.xi_scale * xi + self.forcing
@@ -53,28 +52,7 @@ class SpeedLaw:
 
 def tv_flow(n: int) -> SpeedLaw:
     """Plain singular diffusion: u_t = L u, i.e. F = -xi."""
-    return SpeedLaw(1.0, name="tv_flow")
-
-
-def graph_flow(n: int, s: float = 1.0) -> SpeedLaw:
-    """Scaled diffusion F = -s xi (s > 0 keeps F nonincreasing in xi)."""
-    return SpeedLaw(s, name="graph_flow")
-
-
-def driven_flow(n: int, s: float = 1.0, c: float = 0.0) -> SpeedLaw:
-    """Diffusion with a constant forcing: F = -s xi + c."""
-    return SpeedLaw(s, c, name="driven_flow")
-
-
-_SPEED_LAWS = {"tv_flow": tv_flow, "graph_flow": graph_flow,
-               "driven_flow": driven_flow}
-
-
-def make_speed_law(name: str, n: int, params: dict | None = None) -> SpeedLaw:
-    params = params or {}
-    if name not in _SPEED_LAWS:
-        raise KeyError(f"unknown speed law '{name}'")
-    return _SPEED_LAWS[name](n, **params)
+    return SpeedLaw(1.0)
 
 
 @dataclass
@@ -82,7 +60,6 @@ class EvolutionConfig:
     t_end: float
     cfl: float = 0.4
     record_every: int = 0       # 0 -> only first and last states recorded
-    lipschitz_slack: float = 1e-3
 
 
 @dataclass
@@ -121,8 +98,8 @@ def step_explicit(u: GridFunction, W_m, speed: SpeedLaw, dt: float) -> GridFunct
 
 
 def stable_dt(grid: Grid, W_m, speed: SpeedLaw, cfl: float) -> float:
-    """Forward Euler restriction dt <= cfl h^2 / (2 n a_m lip_xi)."""
-    return cfl * grid.h**2 / (2.0 * grid.n * W_m.a_m * speed.lip_xi)
+    """Forward Euler restriction dt <= cfl h^2 / (2 n a_m xi_scale)."""
+    return cfl * grid.h**2 / (2.0 * grid.n * W_m.a_m * speed.xi_scale)
 
 
 def evolve(u0: GridFunction, W_m, speed: SpeedLaw,
@@ -139,7 +116,7 @@ def evolve(u0: GridFunction, W_m, speed: SpeedLaw,
     trace = EvolutionTrace(dt=dt, steps=steps)
     trace.record(0.0, u0)
     lip0 = trace.lipschitz[0]
-    budget = lip0 * (1.0 + config.lipschitz_slack) + config.lipschitz_slack
+    budget = lip0 * (1.0 + LIPSCHITZ_SLACK) + LIPSCHITZ_SLACK
     u = u0.copy()
     for k in range(1, steps + 1):
         u = step_explicit(u, W_m, speed, dt)

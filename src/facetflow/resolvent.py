@@ -33,7 +33,7 @@ class ResolventConfig:
     rel_gap_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.a <= 0:
+        if not self.a > 0:
             raise ValueError(f"resolvent scale a must be positive, got {self.a}")
 
 

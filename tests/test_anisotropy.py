@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from facetflow.anisotropy import (EllipticAnisotropy, EuclideanAnisotropy,
                                   MollifiedAnisotropy, PowerFourAnisotropy,
-                                  SingularGradientError, dual_norm,
+                                  SingularGradientError,
                                   k_operator, make_anisotropy,
                                   subdifferential_contains, wulff_membership)
 
@@ -120,20 +120,15 @@ def test_subdifferential_at_zero_is_wulff_set():
     assert not subdifferential_contains(W, np.zeros(2), np.array([1.3, 0.4]))
 
 
-def test_dual_norm_euclidean_is_euclidean():
-    W = EuclideanAnisotropy(2)
-    rng = np.random.default_rng(7)
-    for z in rng.standard_normal((10, 2)):
-        assert dual_norm(W, z) == pytest.approx(np.linalg.norm(z), rel=1e-6)
-
-
-def test_dual_norm_elliptic_closed_form():
-    diag = np.array([4.0, 1.0])
-    W = EllipticAnisotropy(np.diag(diag))
-    rng = np.random.default_rng(8)
-    for z in rng.standard_normal((10, 2)):
-        want = np.sqrt(np.sum(z**2 / diag))
-        assert dual_norm(W, z) == pytest.approx(want, rel=1e-6)
+@pytest.mark.parametrize("W", MODELS, ids=["euclidean", "elliptic", "l4"])
+def test_gauge_is_sampled_dual_norm(W):
+    """gauge(x) = sup_d x.d / W(d), the sup sampled over 2^16 directions."""
+    theta = np.linspace(0.0, 2 * np.pi, 2**16, endpoint=False)
+    d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    x = np.random.default_rng(7).standard_normal((10, 2))
+    sampled = np.max((x @ d.T) / W.eval(d), axis=-1)
+    assert np.allclose(W.gauge(x), sampled, rtol=1e-7, atol=0.0)
+    assert np.all(sampled <= W.gauge(x) * (1 + 1e-12))
 
 
 def test_k_operator_trace_form():

@@ -157,6 +157,9 @@ def test_run_nonfinite_value_exits_2(tmp_path):
     "scenario = anisotropy-check\ngrid.n = 2\nanisotropy.model = elliptic\n"
     "anisotropy.diag = 1\n",
     "scenario = monotonicity\nmono.pairs = -2\n",
+    "scenario = evolve\nevolve.m = 0.5\n",
+    "scenario = compare\nevolve.scale = 0\n",
+    "scenario = barrier\nevolve.scale = -1\n",
 ])
 def test_run_out_of_range_int_or_diag_exits_2(tmp_path, text):
     cfg = tmp_path / "bad.cfg"
@@ -264,6 +267,52 @@ def test_run_different_seed_changes_artifacts(tmp_path):
     main(["run", str(cfg), "--out", str(out2), "--seed", "2", "--quiet"])
     assert not filecmp.cmp(out1 / "final.grid", out2 / "final.grid",
                            shallow=False)
+
+
+# a tiny config per scenario kind (the key), and the checks its
+# manifest lists
+TINY_RUNS = {
+    "anisotropy-check": ("scenario = anisotropy-check\ngrid.n = 2\n"
+                         "check.samples = 20\n",
+                         ["one-homogeneity", "lower-bound",
+                          "midpoint-convexity", "euler-identity"]),
+    "resolvent": ("scenario = resolvent\ngrid.n = 1\ngrid.N = 64\n",
+                  ["facet-half-length", "peak-drop", "gap-certified"]),
+    "curvature": ("scenario = curvature\ngrid.n = 2\ngrid.N = 32\n"
+                  "init.kind = disk\ninit.radius = 0.25\n"
+                  "init.amplitude = 0.05\ncurvature.a = 0.001\n"
+                  "resolvent.rel-gap-tol = 1e-6\n",
+                  ["disk-curvature", "curvature-finite"]),
+    "monotonicity": ("scenario = monotonicity\ngrid.n = 1\ngrid.N = 32\n"
+                     "mono.pairs = 2\n", ["order-preserved"]),
+    # a negative amplitude still gives ordered pairs
+    "monotonicity-negative": ("scenario = monotonicity\ngrid.n = 1\n"
+                              "grid.N = 64\ninit.amplitude = -0.15\n"
+                              "mono.pairs = 2\n", ["order-preserved"]),
+    "evolve": ("scenario = evolve\ngrid.n = 1\ngrid.N = 16\nevolve.m = 4\n"
+               "evolve.t-end = 0.002\ncheck.peak-law = 1\n",
+               ["lipschitz-bound", "peak-law"]),
+    "compare": ("scenario = compare\ngrid.n = 1\ngrid.N = 16\nevolve.m = 4\n"
+                "compare.pairs = 1\n", ["no-crossing"]),
+    "barrier": ("scenario = barrier\ngrid.n = 1\nbarrier.samples = 20\n",
+                ["constant-A", "constant-q", "conjugate-lower-bound",
+                 "barrier-bounds", "supersolution-residual"]),
+    "viscosity-test": ("scenario = viscosity-test\ngrid.N = 48\n",
+                       ["certificate-defects", "essinf-monotone",
+                        "faceted-test-signs"]),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIO_KINDS + ("monotonicity-negative",))
+def test_run_tiny_scenario_passes(tmp_path, name):
+    text, checks = TINY_RUNS[name]
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert [line.split(":")[0][len("check "):] for line in manifest
+            if line.startswith("check ")] == checks
 
 
 def test_run_resolvent_template(tmp_path):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from facetflow.anisotropy import EuclideanAnisotropy, MollifiedAnisotropy
-from facetflow.evolution import (EvolutionConfig, StabilityError,
+from facetflow.evolution import (EvolutionConfig, SpeedLaw, StabilityError,
                                  comparison_harness, divergence_operator,
-                                 evolve, lipschitz_monitor, make_speed_law,
+                                 evolve, lipschitz_monitor,
                                  m_refinement_study, sample_state, stable_dt,
                                  conventional_test_residual, tv_flow)
 from facetflow.grid import Grid, GridFunction, lipschitz_constant, mollify
@@ -18,13 +18,12 @@ def _tent(g, slope=0.5):
     return GridFunction(g, slope * (0.25 - d))
 
 
-def test_speed_law_factory():
-    law = make_speed_law("driven_flow", 1, {"s": 2.0, "c": 0.3})
+def test_speed_law_affine_with_positive_scale():
+    law = SpeedLaw(2.0, 0.3)
     assert law(np.zeros((1, 1)), np.array([1.0]))[0] == pytest.approx(-1.7)
-    with pytest.raises(KeyError):
-        make_speed_law("nope", 1)
-    with pytest.raises(ValueError):
-        make_speed_law("graph_flow", 1, {"s": -1.0})
+    for s in (-1.0, 0.0, np.nan):
+        with pytest.raises(ValueError):
+            SpeedLaw(s)
 
 
 def test_stable_dt_scaling():
@@ -122,6 +121,6 @@ def test_m_refinement_distances_shrink():
 
 
 def test_conventional_test_residual_affine():
-    law = make_speed_law("graph_flow", 1, {"s": 2.0})
+    law = SpeedLaw(2.0)
     r = conventional_test_residual(0.5, np.array([1.0]), 3.0, law)
     assert r == pytest.approx(0.5 - 6.0)

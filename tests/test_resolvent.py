@@ -18,6 +18,12 @@ def _tent(g, slope=0.5):
     return GridFunction(g, slope * (0.25 - d))
 
 
+@pytest.mark.parametrize("a", [0.0, -1e-3, np.nan])
+def test_resolvent_config_rejects_nonpositive_or_nan_scale(a):
+    with pytest.raises(ValueError):
+        ResolventConfig(a=a)
+
+
 def test_total_variation_energy_of_tent():
     g = Grid(1, 256)
     u = _tent(g, 0.5)
