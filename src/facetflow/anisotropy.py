@@ -284,69 +284,71 @@ class MollifiedAnisotropy:
     """
 
     QUAD_POINTS = 33
+    _TEMP_BYTES = 32 * 2**20  # temporaries one quadrature call may build
 
     def __init__(self, base: AnisotropyModel, m: float):
         if m < 1:
             raise ValueError(f"mollification index must be >= 1, got {m}")
         self.base = base
         self.m = float(m)
-        self.n = base.n
+        self.n = n = base.n
         k = self.QUAD_POINTS
-        # midpoint nodes of [-1, 1] scaled by 1/m
-        t = (np.arange(k) + 0.5) / k * 2.0 - 1.0
-        mesh = np.meshgrid(*([t] * self.n), indexing="ij")
+        # midpoint nodes of [-1, 1] and an outer ring where the bump is 0
+        t = (np.arange(-1, k + 1) + 0.5) / k * 2.0 - 1.0
+        mesh = np.meshgrid(*([t] * n), indexing="ij")
         r = np.stack([mm.ravel() for mm in mesh], axis=-1)  # unit-ball coords
-        r2 = np.sum(r**2, axis=-1)
-        kappa = bump(r2)
-        sel = kappa > 0
-        r, r2, kappa = r[sel], r2[sel], kappa[sel]
-        Z = kappa.sum()
-        self.nodes = r / self.m                       # (M, n), offsets s_i
-        self.w_val = kappa / Z                        # value weights, sum 1
+        kappa = bump(np.sum(r**2, axis=-1))
+        w = kappa / kappa[kappa > 0].sum()            # value weights, sum 1
         # finite-difference step equal to the quadrature lattice spacing:
         # differences of the sampled convolution then act as differences
-        # of the bump weights, so the kinks of the base density cancel
-        # and convexity (nonnegative second differences) is inherited
-        self.fd_step = 2.0 / (self.m * k)
+        # of the bump weights (precomputed below, one weighted sum a call),
+        # so the kinks of the base density cancel and convexity
+        # (nonnegative second differences) is inherited
+        self.fd_step = s = 2.0 / (self.m * k)
+
+        def shifted(d):  # weight at node y + d for every node y
+            return np.roll(w.reshape((k + 2,) * n), -d, range(n)).ravel()
+
+        E = np.eye(n, dtype=int)
+        G = np.stack([shifted(a) - shifted(-a) for a in E], -1) / (2 * s)
+        H = np.stack([np.stack([
+            (shifted(a) - 2 * w + shifted(-a)) / s**2 if i == j
+            else (shifted(a + b) + shifted(-a - b)
+                  - (shifted(a - b) + shifted(b - a))) / (4 * s**2)
+            for j, b in enumerate(E)], -1) for i, a in enumerate(E)], 1)
+
+        def nonzero(v):  # offsets r / m and weights of the nodes where v != 0
+            on = np.any(v.reshape(len(r), -1) != 0, axis=1)
+            return r[on] / self.m, v[on]
+
+        (self.nodes, self.w_val), self._grad, self._hess = map(nonzero,
+                                                               (w, G, H))
         self._a_m = None
 
-    def _conv(self, p):
-        diffs = p[..., None, :] - self.nodes          # (..., M, n)
-        wv = self.base.eval(diffs)                    # (..., M)
-        return np.einsum("...m,m->...", wv, self.w_val)
+    def _quad(self, p, nodes, weights):
+        """sum_j W(p - nodes_j) weights_j over chunks of points; a chunk's
+        node differences and base-model temporaries, about 2n + 2 floats
+        a node, stay under _TEMP_BYTES."""
+        pts = p.reshape(-1, self.n)
+        out = np.empty((len(pts),) + weights.shape[1:])
+        step = max(1, self._TEMP_BYTES // (16 * (self.n + 1) * len(nodes)))
+        for a in range(0, len(pts), step):
+            vals = self.base.eval(pts[a:a + step, None, :] - nodes)
+            out[a:a + step] = np.einsum("pm,m...->p...", vals, weights)
+        return out.reshape(p.shape[:-1] + weights.shape[1:])
 
     def eval(self, p):
         p = _as_points(p, self.n)
-        return self._conv(p) + np.sum(p**2, axis=-1) / self.m
+        return (self._quad(p, self.nodes, self.w_val)
+                + np.sum(p**2, axis=-1) / self.m)
 
     def grad(self, p):
         p = _as_points(p, self.n)
-        s = self.fd_step
-        out = np.empty(p.shape)
-        for i in range(self.n):
-            e = np.zeros(self.n)
-            e[i] = s
-            out[..., i] = (self._conv(p + e) - self._conv(p - e)) / (2 * s)
-        return out + 2.0 * p / self.m
+        return self._quad(p, *self._grad) + 2.0 * p / self.m
 
     def hess(self, p):
         p = _as_points(p, self.n)
-        s = self.fd_step
-        H = np.empty(p.shape + (self.n,))
-        c0 = self._conv(p)
-        basis = np.eye(self.n) * s
-        for i in range(self.n):
-            ei = basis[i]
-            H[..., i, i] = (self._conv(p + ei) - 2 * c0
-                            + self._conv(p - ei)) / s**2
-            for j in range(i + 1, self.n):
-                ej = basis[j]
-                cross = (self._conv(p + ei + ej) + self._conv(p - ei - ej)
-                         - self._conv(p + ei - ej)
-                         - self._conv(p - ei + ej)) / (4 * s**2)
-                H[..., i, j] = cross
-                H[..., j, i] = cross
-        return H + 2.0 * np.eye(self.n) / self.m
+        return self._quad(p, *self._hess) + 2.0 * np.eye(self.n) / self.m
 
     @property
     def a_m(self) -> float:

@@ -354,20 +354,17 @@ def choose_parameters(delta, K, W: AnisotropyModel, n_verify: int = 1000):
     mu = float(np.max(W.eval(half) + cap_function(half)))
     A = delta / (8.0 * mu)
     q = 8.0 * K / delta
-    m0 = None
-    m = 1.0
-    while m <= 2**16:
-        W_m = MollifiedAnisotropy(W, m)
+    for e in range(17):
+        m0 = 2.0**e
+        W_m = MollifiedAnisotropy(W, m0)
         pts = (q / 2.0) * dirs
         w0 = float(W_m.eval(np.zeros((1, W.n)))[0])
         gap = np.max(np.abs(W_m.eval(pts) - w0 - W.eval(pts)))
         if gap <= q * mu:
-            m0 = m
             break
-        m *= 2.0
-    if m0 is None:
+    else:
         raise ParameterError("no m0 found up to m = 2^16")
-    fam = BarrierFamily(W_m=MollifiedAnisotropy(W, m0), A=A, q=q)
+    fam = BarrierFamily(W_m=W_m, A=A, q=q)
     rng = np.random.default_rng(11)
     radii = rng.uniform(delta, max(2.0, 2 * delta), size=n_verify)
     if W.n == 1:

@@ -1,5 +1,7 @@
 """Surface-energy densities: identities, duality, and mollification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,6 +175,53 @@ def test_mollified_convex_along_lines():
     vals = W_m.eval(t[:, None] * d[None, :])
     second = vals[:-2] - 2 * vals[1:-1] + vals[2:]
     assert np.all(second >= -1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(["euclidean", "elliptic", "l4"]),
+       n=st.sampled_from([1, 2]), m=st.floats(1.0, 128.0),
+       radius=st.sampled_from(["origin", "core", "far"]),
+       u=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+def test_mollified_derivatives_are_centered_differences(name, n, m, radius,
+                                                        u):
+    """grad and hess equal centered differences of eval at fd_step, with
+    the four-point mixed stencil off the diagonal."""
+    W_m = MollifiedAnisotropy(make_anisotropy(name, n), m)
+    scale = {"origin": 0.0, "core": 0.7 / m, "far": 2.0}[radius]
+    p = np.array(u[:n]) * scale
+    s = W_m.fd_step
+    e = np.eye(n) * s
+
+    def f(x):
+        return float(W_m.eval(x[None])[0])
+
+    g = np.array([(f(p + e[i]) - f(p - e[i])) / (2 * s) for i in range(n)])
+    H = np.array([[(f(p + e[i]) - 2 * f(p) + f(p - e[i])) / s**2 if i == j
+                   else (f(p + e[i] + e[j]) + f(p - e[i] - e[j])
+                         - f(p + e[i] - e[j]) - f(p - e[i] + e[j]))
+                   / (4 * s**2) for j in range(n)] for i in range(n)])
+    assert np.all(np.abs(W_m.grad(p) - g) <= 1e-7 * (1 + np.abs(g)))
+    assert np.all(np.abs(W_m.hess(p) - H) <= 1e-7 * (1 + np.abs(H)))
+
+
+def test_mollified_memory_bounded_and_batch_independent():
+    """No call on 16,384 2D points builds more than the quadrature's
+    temporary budget (plus its output), and a point's hessian does not
+    depend on the batch it comes in."""
+    W_m = MollifiedAnisotropy(EuclideanAnisotropy(2), 8.0)
+    p = np.random.default_rng(5).normal(size=(16384, 2))
+    for f in (W_m.eval, W_m.grad, W_m.hess):
+        tracemalloc.start()
+        try:
+            f(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20, (f.__name__, peak / 2**20)
+    q = p[:5000]
+    cuts = [0, 1, 8, 1000, 5000]
+    parts = [W_m.hess(q[a:b]) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(W_m.hess(q), np.concatenate(parts))
 
 
 def test_mollified_am_positive_and_growing():

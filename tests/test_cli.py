@@ -292,6 +292,11 @@ TINY_RUNS = {
     "evolve": ("scenario = evolve\ngrid.n = 1\ngrid.N = 16\nevolve.m = 4\n"
                "evolve.t-end = 0.002\ncheck.peak-law = 1\n",
                ["lipschitz-bound", "peak-law"]),
+    # a constant forcing lowers the peak law's target by forcing * t
+    "evolve-forcing": ("scenario = evolve\ngrid.n = 1\ngrid.N = 16\n"
+                       "evolve.m = 4\nevolve.t-end = 0.002\n"
+                       "check.peak-law = 1\nevolve.forcing = -3\n",
+                       ["lipschitz-bound", "peak-law"]),
     "compare": ("scenario = compare\ngrid.n = 1\ngrid.N = 16\nevolve.m = 4\n"
                 "compare.pairs = 1\n", ["no-crossing"]),
     "barrier": ("scenario = barrier\ngrid.n = 1\nbarrier.samples = 20\n",
@@ -303,7 +308,8 @@ TINY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", SCENARIO_KINDS + ("monotonicity-negative",))
+@pytest.mark.parametrize("name", SCENARIO_KINDS + ("monotonicity-negative",
+                                                   "evolve-forcing"))
 def test_run_tiny_scenario_passes(tmp_path, name):
     text, checks = TINY_RUNS[name]
     cfg = tmp_path / "tiny.cfg"
