@@ -151,6 +151,9 @@ class BarrierFamily:
     beta: float | None = None
     provenance: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self._w0 = float(self.W_m.eval(np.zeros((1, self.n)))[0])
+
     @property
     def m(self):
         return self.W_m.m
@@ -167,9 +170,9 @@ class BarrierFamily:
         out = np.full(r.shape, INF)
         if np.any(inside):
             pi = p[inside]
-            w0 = float(self.W_m.eval(np.zeros((1, self.n)))[0])
             out[inside] = self.A * (self.W_m.eval(pi)
-                                    + self.q * cap_function(pi / self.q) - w0)
+                                    + self.q * cap_function(pi / self.q)
+                                    - self._w0)
         return out
 
     def _capped_grad_hess(self, p):
@@ -186,15 +189,8 @@ class BarrierFamily:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         B = x.shape[0]
         p = np.zeros((B, self.n))
-        w0 = float(self.W_m.eval(np.zeros((1, self.n)))[0])
-
-        def objective(xx, pp):
-            return (np.sum(xx * pp, axis=-1)
-                    - self.A * (self.W_m.eval(pp)
-                                + self.q * cap_function(pp / self.q) - w0))
-
         tol = 1e-11 * (1.0 + np.max(np.abs(x)))
-        obj = objective(x, p)
+        obj = -self.capped(p)       # the objective x.p - capped(p) at p = 0
         active = np.arange(B)
         for _ in range(80):
             g, H = self._capped_grad_hess(p[active])
@@ -218,7 +214,9 @@ class BarrierFamily:
                 co = np.full(todo.size, -INF)
                 feas = r < self.q * (1 - 1e-12)
                 if np.any(feas):
-                    co[feas] = objective(xa[todo][feas], cand[feas])
+                    cf = cand[feas]
+                    co[feas] = (np.sum(xa[todo][feas] * cf, axis=-1)
+                                - self.capped(cf))
                 good = co >= oa[todo] - 1e-14 * np.abs(oa[todo])
                 newp[todo[good]] = cand[good]
                 newo[todo[good]] = co[good]
@@ -228,11 +226,13 @@ class BarrierFamily:
                 t[todo] *= 0.5
             p[active] = newp
             obj[active] = newo
-            # points that no halving could move are stalled: freeze them
-            active = np.delete(active, todo)
+            # a point that no halving could move, or whose accepted step
+            # moved p by roundoff only, has stalled: freeze it
+            moved = np.max(np.abs(newp - pa), axis=-1)
+            active = active[moved > 1e-13 * self.q]
             if active.size == 0:
                 break
-        val = objective(x, p)
+        val = np.sum(x * p, axis=-1) - self.capped(p)
         if not with_derivatives:
             return val
         g, H = self._capped_grad_hess(p)
@@ -301,40 +301,13 @@ def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
 
 
 def beta_Aq(speed, A, q, n) -> float:
-    """sup |F(p, xi)| over |p| <= q, |xi| <= n/A, plus one, by sampling."""
-    samples = 64
-    xi_max = n / A
+    """sup |F(p, xi)| over |p| <= q, |xi| <= n/A, plus one.
 
-    def scan(p_lo, p_hi, xi_lo, xi_hi, k):
-        if n == 1:
-            ps = np.linspace(p_lo[0], p_hi[0], k).reshape(-1, 1)
-        else:
-            axes = [np.linspace(p_lo[i], p_hi[i], k) for i in range(n)]
-            mesh = np.meshgrid(*axes, indexing="ij")
-            ps = np.stack([mm.ravel() for mm in mesh], axis=-1)
-            ps = ps[np.sqrt(np.sum(ps**2, axis=-1)) <= q + 1e-12]
-        xis = np.linspace(xi_lo, xi_hi, k)
-        P = np.repeat(ps, xis.shape[0], axis=0)
-        X = np.tile(xis, ps.shape[0])
-        vals = np.abs(speed(P, X))
-        i = int(np.argmax(vals))
-        return float(vals[i]), P[i], X[i]
-
-    lo = -q * np.ones(n)
-    hi = q * np.ones(n)
-    best, pb, xb = scan(lo, hi, -xi_max, xi_max, samples)
-    span_p = 2 * q / (samples - 1)
-    span_x = 2 * xi_max / (samples - 1)
-    for _ in range(2):
-        # refinement windows stay inside the box the supremum is over
-        b2, pb, xb = scan(np.maximum(pb - span_p, lo),
-                          np.minimum(pb + span_p, hi),
-                          max(xb - span_x, -xi_max), min(xb + span_x, xi_max),
-                          samples)
-        best = max(best, b2)
-        span_p /= samples / 2
-        span_x /= samples / 2
-    return best + 1.0
+    Every speed law the package uses is affine in xi and independent of
+    p, so |F| is largest at an end of the xi range, evaluated at p = 0.
+    """
+    xi = np.array([-n / A, n / A])
+    return float(np.max(np.abs(speed(np.zeros((2, n)), xi)))) + 1.0
 
 
 def choose_parameters(delta, K, W: AnisotropyModel, n_verify: int = 1000):

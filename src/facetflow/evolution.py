@@ -102,6 +102,22 @@ def stable_dt(grid: Grid, W_m, speed: SpeedLaw, cfl: float) -> float:
     return cfl * grid.h**2 / (2.0 * grid.n * W_m.a_m * speed.xi_scale)
 
 
+def step_count(grid: Grid, W_m, speed: SpeedLaw,
+               config: EvolutionConfig) -> float:
+    """Fewest equal explicit steps that reach t_end within stable_dt.
+
+    A whole number held as a float, so that a caller can refuse a plan
+    too long to run before it is converted to an int.
+    """
+    dt = stable_dt(grid, W_m, speed, config.cfl)
+    return max(1.0, float(np.ceil(config.t_end / dt)))
+
+
+def _lipschitz_budget(lip0: float) -> float:
+    """Largest Lipschitz seminorm a stable run from seminorm lip0 may reach."""
+    return lip0 * (1.0 + LIPSCHITZ_SLACK) + LIPSCHITZ_SLACK
+
+
 def evolve(u0: GridFunction, W_m, speed: SpeedLaw,
            config: EvolutionConfig) -> EvolutionTrace:
     """Run the explicit scheme to t_end, monitoring the Lipschitz norm.
@@ -109,14 +125,12 @@ def evolve(u0: GridFunction, W_m, speed: SpeedLaw,
     The Lipschitz seminorm of the solution must not grow (up to scheme
     slack); a violation aborts the run since it signals instability.
     """
-    g = u0.grid
-    dt = stable_dt(g, W_m, speed, config.cfl)
-    steps = max(1, int(np.ceil(config.t_end / dt)))
+    steps = int(step_count(u0.grid, W_m, speed, config))
     dt = config.t_end / steps
     trace = EvolutionTrace(dt=dt, steps=steps)
     trace.record(0.0, u0)
     lip0 = trace.lipschitz[0]
-    budget = lip0 * (1.0 + LIPSCHITZ_SLACK) + LIPSCHITZ_SLACK
+    budget = _lipschitz_budget(lip0)
     u = u0.copy()
     for k in range(1, steps + 1):
         u = step_explicit(u, W_m, speed, dt)
@@ -157,7 +171,8 @@ def lipschitz_monitor(trace: EvolutionTrace) -> dict:
     lips = np.asarray(trace.lipschitz)
     return {"initial": float(lips[0]), "max": float(np.max(lips)),
             "final": float(lips[-1]),
-            "growth": float(np.max(lips) / max(lips[0], 1e-300))}
+            "growth": float(np.max(lips) / max(lips[0], 1e-300)),
+            "budget": _lipschitz_budget(float(lips[0]))}
 
 
 def m_refinement_study(u0: GridFunction, W, speed: SpeedLaw, t_end: float,

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import (Grid, GridFunction, GridVectorField, divergence_fd,
-                   gradient_centered, mollify)
+from .grid import (Grid, GridFunction, GridVectorField, dilate_cells,
+                   divergence_fd, gradient_centered, mollify)
 
 
 class PairDisjointError(ValueError):
@@ -32,17 +32,6 @@ class PairDisjointError(ValueError):
 
 class SeparationError(ValueError):
     """Raised when two pair components are too close for a construction."""
-
-
-def _dilate_cells(grid: Grid, mask: np.ndarray, k: int) -> np.ndarray:
-    # The radius-k ball is the k-fold Minkowski sum of the one-cell ball,
-    # so k one-cell dilations give exactly the radius-k dilation, at a cost
-    # linear in k rather than in the O(k^n) footprint.
-    fp = grid.ball_footprint(grid.h)
-    out = mask.astype(np.uint8)
-    for _ in range(k):
-        out = ndimage.grey_dilation(out, footprint=fp, mode="wrap")
-    return out.astype(bool)
 
 
 def rho_neighborhood(grid: Grid, mask: np.ndarray, rho: float) -> np.ndarray:
@@ -54,11 +43,9 @@ def rho_neighborhood(grid: Grid, mask: np.ndarray, rho: float) -> np.ndarray:
     """
     mask = np.asarray(mask, dtype=bool)
     k = int(round(abs(rho) / grid.h))
-    if k == 0:
-        return mask.copy()
     if rho > 0:
-        return _dilate_cells(grid, mask, k)
-    return ~_dilate_cells(grid, ~mask, k)
+        return dilate_cells(mask, k)
+    return ~dilate_cells(~mask, k)
 
 
 def _distance_to(grid: Grid, mask: np.ndarray) -> np.ndarray:
@@ -156,7 +143,7 @@ def _between(grid: Grid, lo: np.ndarray, hi: np.ndarray, k: int) -> np.ndarray:
     if not np.any(lo):
         return lo.copy()
     half = max(1, k // 2)
-    seed = _dilate_cells(grid, lo, half)
+    seed = dilate_cells(lo, half)
     d = mollify(signed_distance(grid, seed), half * grid.h)
     cand = d.values <= 0.0
     return (cand | lo) & hi
@@ -185,8 +172,8 @@ def smooth_pair_between(pair: PairOfSets, rho1: float, rho2: float) -> PairOfSet
     k1 = int(round(rho1 / g.h))
     kd = max(1, int(round((rho2 - rho1) / (3.0 * g.h))))
 
-    plus_lo = _dilate_cells(g, pair.plus, k1)
-    plus_hi = _dilate_cells(g, pair.plus, k1 + kd) if np.any(pair.plus) else plus_lo
+    plus_lo = dilate_cells(pair.plus, k1)
+    plus_hi = dilate_cells(pair.plus, k1 + kd) if np.any(pair.plus) else plus_lo
     g_plus = _between(g, plus_lo, plus_hi, kd)
 
     minus_lo = rho_neighborhood(g, pair.minus, -(k1 + 3 * kd) * g.h)
@@ -351,13 +338,13 @@ def ordered_support_function(theta_usc: GridFunction, H: PairOfSets,
     if np.any((theta > 0) & ~(psi_h > 0)):
         raise ValueError("obstacle is positive outside the support of psi_H")
 
-    pos_region = _dilate_cells(g, theta > 0, 1) & (psi_h > 0)
+    pos_region = dilate_cells(theta > 0, 1) & (psi_h > 0)
     if np.any(pos_region) and np.max(theta) > 0:
         alpha = float(np.max(theta) / np.min(psi_h[pos_region]))
         alpha = max(alpha, 1.0)
     else:
         alpha = 1.0
-    neg_region = _dilate_cells(g, H.minus, 1)
+    neg_region = dilate_cells(H.minus, 1)
     if np.any(neg_region) and np.min(psi_h[H.minus] if np.any(H.minus)
                                      else [0.0]) < 0:
         top = float(np.max(theta[neg_region]))

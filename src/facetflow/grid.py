@@ -44,24 +44,6 @@ class Grid:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def ball_radius_cells(self, radius: float) -> int:
-        return int(np.floor(radius / self.h + 1e-9))
-
-    def ball_footprint(self, radius: float) -> np.ndarray:
-        """Closed grid ball of the graded family, as a boolean footprint.
-
-        The radius-k*h ball is the k-fold Minkowski sum of the elementary
-        one-cell ball, so that ball(j*h) + ball(k*h) = ball((j+k)*h) holds
-        exactly and the morphology algebra below is exact on masks.  In 1D
-        this coincides with the Euclidean grid ball.
-        """
-        k = self.ball_radius_cells(radius)
-        g = np.arange(-k, k + 1)
-        if self.n == 1:
-            return np.abs(g) <= k
-        mesh = np.meshgrid(*([g] * self.n), indexing="ij")
-        return sum(np.abs(m) for m in mesh) <= k
-
     def euclidean_ball_offsets(self, radius: float) -> np.ndarray:
         """Integer offsets with torus distance <= radius, shape (m, n)."""
         k = int(np.ceil(radius / self.h + 1e-9))
@@ -165,24 +147,41 @@ def gradient_centered(u: GridFunction) -> GridVectorField:
     return GridVectorField(u.grid, np.stack(comps, axis=-1))
 
 
-def _morph(u: GridFunction, eta: float, op, what: str) -> GridFunction:
-    """Grey-scale filter op over the closed grid ball of radius eta."""
+def dilate_cells(v: np.ndarray, k: int) -> np.ndarray:
+    """Supremum of a node array over the graded grid ball of k cells.
+
+    The radius-k ball is the k-fold Minkowski sum of the one-cell ball
+    (a node and its 2n axis neighbours; in 2D the l1 diamond), so k
+    one-cell passes give it exactly, and dilation by j cells then by k
+    cells is dilation by j + k.  Works on grey values and on boolean
+    masks alike; erosion is the negative (for masks, complementary) dual.
+    """
+    out = v.copy()
+    for _ in range(k):
+        prev = out
+        for i in range(v.ndim):
+            out = np.maximum(out, np.maximum(np.roll(prev, 1, axis=i),
+                                             np.roll(prev, -1, axis=i)))
+    return out
+
+
+def _radius_cells(grid: Grid, eta: float, what: str) -> int:
+    """Whole cells in a radius eta, rounded down."""
     if eta < 0:
         raise ValueError(f"{what} radius must be nonnegative, got {eta}")
-    fp = u.grid.ball_footprint(eta)
-    if fp.size == 1:
-        return u.copy()
-    return GridFunction(u.grid, op(u.values, footprint=fp, mode="wrap"))
+    return int(np.floor(eta / grid.h + 1e-9))
 
 
 def erode(u: GridFunction, eta: float) -> GridFunction:
     """Pointwise infimum of u over the closed grid ball of radius eta."""
-    return _morph(u, eta, ndimage.grey_erosion, "erosion")
+    k = _radius_cells(u.grid, eta, "erosion")
+    return GridFunction(u.grid, -dilate_cells(-u.values, k))
 
 
 def dilate(u: GridFunction, eta: float) -> GridFunction:
     """Pointwise supremum of u over the closed grid ball of radius eta."""
-    return _morph(u, eta, ndimage.grey_dilation, "dilation")
+    k = _radius_cells(u.grid, eta, "dilation")
+    return GridFunction(u.grid, dilate_cells(u.values, k))
 
 
 def bump(r2):

@@ -283,6 +283,19 @@ TINY_RUNS = {
                   "init.amplitude = 0.05\ncurvature.a = 0.001\n"
                   "resolvent.rel-gap-tol = 1e-6\n",
                   ["disk-curvature", "curvature-finite"]),
+    # the disk is the model's Wulff ball, whose curvature is -2/R for
+    # every model (a Euclidean disk gave -14.96 and -8.81 against -10)
+    "curvature-elliptic": ("scenario = curvature\ngrid.n = 2\ngrid.N = 48\n"
+                           "anisotropy.model = elliptic\ninit.kind = disk\n"
+                           "init.radius = 0.2\ninit.amplitude = 0.05\n"
+                           "curvature.a = 0.0005\n"
+                           "resolvent.rel-gap-tol = 1e-5\n",
+                           ["disk-curvature", "curvature-finite"]),
+    "curvature-l4": ("scenario = curvature\ngrid.n = 2\ngrid.N = 48\n"
+                     "anisotropy.model = l4\ninit.kind = disk\n"
+                     "init.radius = 0.2\ninit.amplitude = 0.05\n"
+                     "curvature.a = 0.0005\nresolvent.rel-gap-tol = 1e-5\n",
+                     ["disk-curvature", "curvature-finite"]),
     "monotonicity": ("scenario = monotonicity\ngrid.n = 1\ngrid.N = 32\n"
                      "mono.pairs = 2\n", ["order-preserved"]),
     # a negative amplitude still gives ordered pairs
@@ -308,8 +321,12 @@ TINY_RUNS = {
 }
 
 
-@pytest.mark.parametrize("name", SCENARIO_KINDS + ("monotonicity-negative",
-                                                   "evolve-forcing"))
+# the two anisotropic disks take 10-20 s each on a 2-vCPU VM, so they run
+# with the slow tier
+@pytest.mark.parametrize("name", SCENARIO_KINDS + (
+    "monotonicity-negative", "evolve-forcing",
+    pytest.param("curvature-elliptic", marks=pytest.mark.slow),
+    pytest.param("curvature-l4", marks=pytest.mark.slow)))
 def test_run_tiny_scenario_passes(tmp_path, name):
     text, checks = TINY_RUNS[name]
     cfg = tmp_path / "tiny.cfg"
@@ -319,6 +336,18 @@ def test_run_tiny_scenario_passes(tmp_path, name):
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert [line.split(":")[0][len("check "):] for line in manifest
             if line.startswith("check ")] == checks
+
+
+def test_run_flat_support_fails_faceted_signs(tmp_path):
+    """viscosity.radius = 0.8 puts the whole torus in the plus set, so the
+    support function is flat, essinf Lambda = 0 and F(0, 0) = 0: the top
+    facet does not descend and the check fails."""
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text("scenario = viscosity-test\ngrid.N = 48\n"
+                   "viscosity.radius = 0.8\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 4
+    assert "check faceted-test-signs: FAIL" in (out / "manifest.txt").read_text()
 
 
 def test_run_resolvent_template(tmp_path):

@@ -8,6 +8,7 @@ from facetflow.conjugate import (BarrierFamily, ParameterError,
                                  SampledConvexFunction, beta_Aq, build_barrier,
                                  cap_function, choose_parameters,
                                  legendre_transform)
+from facetflow.evolution import SpeedLaw
 
 
 def _tabulate(f, lo, hi, k, n):
@@ -115,6 +116,32 @@ def test_beta_dominates_speed_on_the_box():
     # a refinement window reaching past that edge would overshoot it
     beta = beta_Aq(lambda p, xi: -xi, A, q, n=2)
     assert beta == pytest.approx(2 / A + 1.0, abs=1e-12)
+    for n in (1, 2):
+        assert beta_Aq(SpeedLaw(2.0, -0.3), A, q, n) == 2.0 * (n / A) + 0.3 + 1.0
+
+
+def test_conjugate_freezes_stalled_core_points():
+    """Inside the mollifier core two of these points stall; they used to
+    take Newton sweeps until the 80-sweep cap (81 W_m.hess calls)."""
+    W = EuclideanAnisotropy(2)
+    m0, A, q, _mu = choose_parameters(0.5, 2.0, W, n_verify=200)
+    fam = build_barrier(m0, A, q, W, n_check=100)
+    calls = []
+    hess = fam.W_m.hess
+
+    def counted_hess(p):
+        calls.append(p.shape[0])
+        return hess(p)
+
+    fam.W_m.hess = counted_hess
+    xs = np.random.default_rng(7).normal(size=(250, 2))
+    vals, _p, _Hc = fam.conjugate(xs, with_derivatives=True)
+    assert len(calls) <= 20
+    # two well-converged points and the two stalled ones (|p| < 0.07)
+    ref = {0: 1.5632603500818494, 1: 16.300994403291284,
+           84: 0.0017231327326715637, 129: 0.0015275925050049657}
+    for i, want in ref.items():
+        assert abs(vals[i] - want) <= 1e-14 * (1.0 + abs(want)), i
 
 
 def test_choose_parameters_rejects_impossible_demand():

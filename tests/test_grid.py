@@ -1,8 +1,12 @@
 """Periodic grid calculus: adjointness, consistency, and morphology."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from facetflow.facets import rho_neighborhood
 from facetflow.grid import (Grid, GridFunction, GridVectorField,
                             GridMismatchError, dilate, divergence_fd, erode,
                             gradient_centered, gradient_fd,
@@ -80,6 +84,32 @@ def test_erode_dilate_duality():
     a = erode(u, 3 * g.h).values
     b = -dilate(GridFunction(g, -u.values), 3 * g.h).values
     assert np.allclose(a, b, atol=1e-14)
+
+
+def _ball_max(v, k):
+    """Brute-force supremum over every shift in the l1 ball of k cells."""
+    out = v.copy()
+    for shift in itertools.product(range(-k, k + 1), repeat=v.ndim):
+        if sum(abs(s) for s in shift) <= k:
+            out = np.maximum(out, np.roll(v, shift, axis=tuple(range(v.ndim))))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]), N=st.integers(8, 32), data=st.data())
+def test_dilation_is_max_over_graded_ball(n, N, data):
+    """dilate, erode and rho_neighborhood against a brute-force max over
+    the shifts in the l1 ball, grid balls wider than the torus included."""
+    k = data.draw(st.integers(0, N + 3), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = Grid(n, N)
+    u = GridFunction(g, rng.standard_normal(g.shape))
+    up = dilate(u, k * g.h).values
+    assert np.array_equal(up, _ball_max(u.values, k))
+    down = erode(u, k * g.h).values
+    assert np.array_equal(down, -dilate(GridFunction(g, -u.values), k * g.h).values)
+    mask = rng.random(g.shape) < 0.3
+    assert np.array_equal(rho_neighborhood(g, mask, k * g.h), _ball_max(mask, k))
 
 
 def test_lipschitz_constant_of_known_slope():
