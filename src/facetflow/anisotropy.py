@@ -278,13 +278,15 @@ class MollifiedAnisotropy:
     Only values of W are ever sampled, so the origin singularity never
     enters.  The discrete convolution weights are normalized to sum to
     one, which makes the Jensen lower bound W_m >= W + |p|^2/m exact.
-    Derivatives are centered finite differences of the quadrature value,
-    which keeps value, gradient and hessian mutually consistent (the
-    exposed object is one smooth function, differentiated as such).
+    The gradient and hessian are centered differences of the quadrature
+    value at the lattice spacing (the four-point stencil off the
+    diagonal), not its derivatives: inside the core |p| < 1/m the value
+    is only piecewise smooth, and in 2D the differences also carry an
+    O(spacing^2) error outside it.
     """
 
     QUAD_POINTS = 33
-    _TEMP_BYTES = 32 * 2**20  # temporaries one quadrature call may build
+    _TEMP_BYTES = 8 * 2**20  # temporaries one quadrature call may build
 
     def __init__(self, base: AnisotropyModel, m: float):
         if m < 1:
@@ -321,34 +323,58 @@ class MollifiedAnisotropy:
             on = np.any(v.reshape(len(r), -1) != 0, axis=1)
             return r[on] / self.m, v[on]
 
-        (self.nodes, self.w_val), self._grad, self._hess = map(nonzero,
-                                                               (w, G, H))
+        self.nodes, w_val = nonzero(w)
+        # one derivative table on the hessian's nodes, which include the
+        # gradient's: n gradient and then n*n hessian weight columns, each
+        # a column view of the row-major (nodes, n) or (nodes, n*n) block;
+        # that layout sets the order in which numpy sums a column
+        y_der, dw = nonzero(np.concatenate(
+            [G, H.reshape(len(r), n * n)], axis=1))
+        self._dw = tuple(dw[:, :n].copy().T) + tuple(dw[:, n:].copy().T)
+        self._w_val = (w_val,)
+        # node coordinates component-first, (n, 1, nodes), for _quad
+        self._y_val, self._y_der = (y.T[:, None, :].copy()
+                                    for y in (self.nodes, y_der))
         self._a_m = None
 
-    def _quad(self, p, nodes, weights):
-        """sum_j W(p - nodes_j) weights_j over chunks of points; a chunk's
-        node differences and base-model temporaries, about 2n + 2 floats
-        a node, stay under _TEMP_BYTES."""
-        pts = p.reshape(-1, self.n)
-        out = np.empty((len(pts),) + weights.shape[1:])
-        step = max(1, self._TEMP_BYTES // (16 * (self.n + 1) * len(nodes)))
-        for a in range(0, len(pts), step):
-            vals = self.base.eval(pts[a:a + step, None, :] - nodes)
-            out[a:a + step] = np.einsum("pm,m...->p...", vals, weights)
-        return out.reshape(p.shape[:-1] + weights.shape[1:])
+    def _quad(self, p, y, cols):
+        """sum_j W(p - y_j) c_j for each weight column c in cols, over
+        chunks of points.  A chunk's differences are one C-ordered
+        (n, points, nodes) array, read by the base model through a
+        (points, nodes, n) view, so no temporary has a trailing axis of
+        length n.  They and the base model's temporaries, about 2n + 2
+        floats a node, stay under _TEMP_BYTES.  Each column is summed on
+        its own, so it does not depend on which others a call asks for."""
+        pts = p.reshape(-1, self.n).T[:, :, None]
+        out = np.empty((pts.shape[1], len(cols)))
+        step = max(1, self._TEMP_BYTES // (16 * (self.n + 1) * y.shape[2]))
+        for a in range(0, len(out), step):
+            vals = self.base.eval((pts[:, a:a + step] - y).transpose(1, 2, 0))
+            for k, c in enumerate(cols):
+                np.einsum("pm,m->p", vals, c, out=out[a:a + step, k])
+        return out.reshape(p.shape[:-1] + (len(cols),))
 
     def eval(self, p):
         p = _as_points(p, self.n)
-        return (self._quad(p, self.nodes, self.w_val)
+        return (self._quad(p, self._y_val, self._w_val)[..., 0]
                 + np.sum(p**2, axis=-1) / self.m)
 
     def grad(self, p):
         p = _as_points(p, self.n)
-        return self._quad(p, *self._grad) + 2.0 * p / self.m
+        return (self._quad(p, self._y_der, self._dw[:self.n])
+                + 2.0 * p / self.m)
 
-    def hess(self, p):
+    def hess(self, p, with_grad=False):
+        """Hessian, or (gradient, hessian) from one sampling of the
+        derivative table when with_grad is true."""
         p = _as_points(p, self.n)
-        return self._quad(p, *self._hess) + 2.0 * np.eye(self.n) / self.m
+        n = self.n
+        d = self._quad(p, self._y_der, self._dw if with_grad else self._dw[n:])
+        H = (d[..., -n * n:].reshape(p.shape[:-1] + (n, n))
+             + 2.0 * np.eye(n) / self.m)
+        if with_grad:
+            return d[..., :n] + 2.0 * p / self.m, H
+        return H
 
     @property
     def a_m(self) -> float:

@@ -176,9 +176,9 @@ class BarrierFamily:
         return out
 
     def _capped_grad_hess(self, p):
-        g = self.A * (self.W_m.grad(p) + cap_grad(p / self.q))
-        H = self.A * (self.W_m.hess(p) + cap_hess(p / self.q) / self.q)
-        return g, H
+        g, H = self.W_m.hess(p, with_grad=True)
+        return (self.A * (g + cap_grad(p / self.q)),
+                self.A * (H + cap_hess(p / self.q) / self.q))
 
     def conjugate(self, x, with_derivatives=False):
         """Exact-pointwise conjugate by concave maximization over |p| < q.

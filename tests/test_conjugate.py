@@ -129,9 +129,9 @@ def test_conjugate_freezes_stalled_core_points():
     calls = []
     hess = fam.W_m.hess
 
-    def counted_hess(p):
+    def counted_hess(p, **kw):
         calls.append(p.shape[0])
-        return hess(p)
+        return hess(p, **kw)
 
     fam.W_m.hess = counted_hess
     xs = np.random.default_rng(7).normal(size=(250, 2))
