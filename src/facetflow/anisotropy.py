@@ -43,6 +43,26 @@ def _multiplier(resid, size, steps):
     return 0.5 * (lo + hi)
 
 
+def _flat_points(z, n):
+    """Points as a C-ordered (P, n) array, and the shape they came in.
+
+    Projections that rotate or reduce run on this one layout, so a view
+    of component-first storage gives the same bits as a C-ordered copy.
+    """
+    z = _as_points(z, n)
+    return np.ascontiguousarray(z).reshape(-1, n), z.shape
+
+
+def _emit(p, shape, out):
+    """Return p in the given shape, or write it to out (which may alias
+    the input) and return out."""
+    p = p.reshape(shape)
+    if out is None:
+        return p
+    out[...] = p
+    return out
+
+
 class AnisotropyModel:
     """Convex, one-homogeneous density, C2 away from the origin.
 
@@ -74,11 +94,12 @@ class AnisotropyModel:
                 f"{self.name}: derivative requested at the origin")
 
     # Dual-set helpers.  gauge is the dual norm W°, closed form per model;
-    # project is the Euclidean projection onto the Wulff set {W° <= 1}.
+    # wulff_project is the Euclidean projection onto the Wulff set
+    # {W° <= 1}, written to `out` when given (out may be z itself).
     def gauge(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def wulff_project(self, z) -> np.ndarray:
+    def wulff_project(self, z, out=None) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -112,11 +133,15 @@ class EuclideanAnisotropy(AnisotropyModel):
         x = _as_points(x, self.n)
         return np.sqrt(np.sum(x**2, axis=-1))
 
-    def wulff_project(self, z):
+    def wulff_project(self, z, out=None):
+        # z / max(|z|, 1), the squared norm summed component by component
         z = _as_points(z, self.n)
-        nrm = np.sqrt(np.sum(z**2, axis=-1, keepdims=True))
-        scale = np.where(nrm > 1.0, nrm, 1.0)
-        return z / scale
+        nrm = np.multiply(z[..., 0], z[..., 0], out=np.empty(z.shape[:-1]))
+        for i in range(1, self.n):
+            nrm += z[..., i] * z[..., i]
+        np.sqrt(nrm, out=nrm)
+        np.maximum(nrm, 1.0, out=nrm)
+        return np.divide(z, nrm[..., None], out=out)
 
 
 class EllipticAnisotropy(AnisotropyModel):
@@ -161,28 +186,28 @@ class EllipticAnisotropy(AnisotropyModel):
         x = _as_points(x, self.n)
         return np.sqrt(np.einsum("...i,ij,...j->...", x, self.Minv, x))
 
-    def wulff_project(self, z):
+    def wulff_project(self, z, out=None):
         # Projection onto {x : x^T M^-1 x <= 1}, in the eigenbasis of M
         # where the set is an axis-aligned ellipse; multiplier found by
         # vectorized bisection on the monotone constraint residual.  For a
         # diagonal M the eigenbasis is a signed permutation, so the
         # rotations below are exact.
-        z = _as_points(z, self.n)
+        z, shape = _flat_points(z, self.n)
         m = self._eigs
         y = z @ self._eigvecs
         g = np.einsum("...i,i->...", y**2, 1.0 / m)
         outside = g > 1.0
+        res = z.copy()
         if not np.any(outside):
-            return z.copy()
+            return _emit(res, shape, out)
         zo = y[outside]
         # p_i = z_i / (1 + lam/m_i)
         def resid(lam):
             p = zo / (1.0 + lam[:, None] / m)
             return np.einsum("...i,i->...", p**2, 1.0 / m) - 1.0
         lam = _multiplier(resid, zo.shape[0], 80)
-        out = z.copy()
-        out[outside] = (zo / (1.0 + lam[:, None] / m)) @ self._eigvecs.T
-        return out
+        res[outside] = (zo / (1.0 + lam[:, None] / m)) @ self._eigvecs.T
+        return _emit(res, shape, out)
 
 
 class PowerFourAnisotropy(AnisotropyModel):
@@ -220,15 +245,16 @@ class PowerFourAnisotropy(AnisotropyModel):
         x = _as_points(x, self.n)
         return np.sum(np.abs(x) ** (4.0 / 3.0), axis=-1) ** 0.75
 
-    def wulff_project(self, z):
+    def wulff_project(self, z, out=None):
         # Projection onto the l^{4/3} unit ball.  KKT gives, per component,
         # the depressed cubic t^3 + (4 lam / 3) t = |z_i| for t = p_i^(1/3);
         # bisection on the scalar multiplier lam.
-        z = _as_points(z, self.n)
+        z, shape = _flat_points(z, self.n)
         g = self.gauge(z)
         outside = g > 1.0 + 1e-12
+        res = z.copy()
         if not np.any(outside):
-            return z.copy()
+            return _emit(res, shape, out)
         zo = np.abs(z[outside])
         sgn = np.sign(z[outside])
 
@@ -244,9 +270,8 @@ class PowerFourAnisotropy(AnisotropyModel):
             p = comp(lam)
             return np.sum(p ** (4.0 / 3.0), axis=-1) - 1.0
 
-        out = z.copy()
-        out[outside] = sgn * comp(_multiplier(resid, zo.shape[0], 100))
-        return out
+        res[outside] = sgn * comp(_multiplier(resid, zo.shape[0], 100))
+        return _emit(res, shape, out)
 
 
 def wulff_membership(W: AnisotropyModel, z, tol: float = 1e-9) -> bool:

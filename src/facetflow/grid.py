@@ -111,22 +111,49 @@ def _check_same_grid(a, b):
         raise GridMismatchError("operands live on different grids")
 
 
-def forward_gradient(v: np.ndarray, h: float) -> np.ndarray:
+def _axis_slices(i):
+    """Index tuples along axis i: [1:], [:-1], [:1] and [-1:]."""
+    lead = (slice(None),) * i
+    return tuple(lead + (s,) for s in (slice(1, None), slice(None, -1),
+                                      slice(None, 1), slice(-1, None)))
+
+
+def forward_gradient(v: np.ndarray, h: float, out=None) -> np.ndarray:
     """Forward differences of a node array along every axis, stacked last.
 
     The one discrete gradient of the package; backward_divergence is its
     exact negative adjoint.  Works on raw arrays so that inner loops skip
-    the finiteness checks of the GridFunction wrappers.
+    the finiteness checks of the GridFunction wrappers.  `out` may be any
+    (*shape, n) array, such as an np.moveaxis view of component-first
+    storage, whose planes out[..., i] are then contiguous.
     """
-    return np.stack([(np.roll(v, -1, axis=i) - v) / h for i in range(v.ndim)],
-                    axis=-1)
+    if out is None:
+        out = np.empty(v.shape + (v.ndim,))
+    for i in range(v.ndim):
+        hi, lo, first, last = _axis_slices(i)
+        o = out[..., i]
+        np.subtract(v[hi], v[lo], out=o[lo])
+        np.subtract(v[first], v[last], out=o[last])
+    out /= h
+    return out
 
 
-def backward_divergence(z: np.ndarray, h: float) -> np.ndarray:
-    """Backward-difference divergence of a field of shape (*shape, n)."""
-    out = np.zeros(z.shape[:-1])
+def backward_divergence(z: np.ndarray, h: float, out=None) -> np.ndarray:
+    """Backward-difference divergence of a field of shape (*shape, n),
+    written to `out` (shape `shape`) when given."""
+    if out is None:
+        out = np.empty(z.shape[:-1])
+    d = out    # component 0 goes straight to out, later ones via a scratch d
     for i in range(z.shape[-1]):
-        out += (z[..., i] - np.roll(z[..., i], 1, axis=i)) / h
+        if i == 1:
+            d = np.empty_like(out)
+        hi, lo, first, last = _axis_slices(i)
+        zi = z[..., i]
+        np.subtract(zi[hi], zi[lo], out=d[hi])
+        np.subtract(zi[first], zi[last], out=d[first])
+        d /= h
+        if i:
+            out += d
     return out
 
 

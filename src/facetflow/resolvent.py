@@ -12,6 +12,7 @@ subdifferential of E, the nonlocal curvature that drives the flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ class ResolventReport:
     gap_tol: float
     converged: bool
     l2_error_bound: float
+    gap_history: tuple = ()    # (iteration, gap) of every gap check
 
 
 def total_variation_energy(u: GridFunction, W) -> float:
@@ -62,59 +64,101 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
 
     The duality gap of the reconstructed pair bounds the distance to the
     true minimizer: ||psi_a - psi_a*|| <= sqrt(2 a gap).
+
+    Every array of the iteration is allocated once per solve and updated
+    in place.  z and the gradient step are stored component first,
+    (n, *shape), and reach the grid pair and W.wulff_project as
+    (*shape, n) views whose planes [..., i] are contiguous.
     """
     g = psi.grid
     a = config.a
     n, h = g.n, g.h
+    shape = g.shape
 
     # operator norm of the forward-difference gradient
     L2 = 4.0 * n / h**2
-    tau = np.sqrt(a) / np.sqrt(L2)
+    tau = float(np.sqrt(a) / np.sqrt(L2))
     sigma = 1.0 / (tau * L2)
     gamma = 1.0 / a
 
-    v = psi.values.copy()
-    v_bar = v.copy()
-    z = np.zeros(g.shape + (n,))
     psi_v = psi.values
     voln = h**n
+    v = psi_v.copy()
+    v_old = np.empty(shape)
+    v_bar = v.copy()
+    zc = np.zeros((n,) + shape)
+    z = np.moveaxis(zc, 0, -1)
+    # one buffer for the gradient: component first in the dual step,
+    # C-ordered (*shape, n) for the energy of the gap check
+    gflat = np.empty(zc.size)
+    grad_step = np.moveaxis(gflat.reshape(zc.shape), 0, -1)
+    grad_gap = gflat.reshape(shape + (n,))
+    zflat = zc.reshape(-1)
+    div = np.empty(shape)
+    work = np.empty(shape)
 
     gap = np.inf
     scale = max(float(np.sum(psi_v**2)) * voln, 1e-30)
     gap_tol = config.rel_gap_tol * scale / a
+    history = []
     it = 0
     for it in range(1, config.max_iter + 1):
-        z = z + sigma * forward_gradient(v_bar, h)
-        z = W.wulff_project(z.reshape(-1, n)).reshape(z.shape)
-        v_old = v
-        v = ((v + tau * backward_divergence(z, h) + (tau / a) * psi_v)
-             / (1.0 + tau / a))
-        theta = 1.0 / np.sqrt(1.0 + 2.0 * gamma * tau)
+        forward_gradient(v_bar, h, out=grad_step)
+        gflat *= sigma
+        zflat += gflat
+        W.wulff_project(z, out=z)
+        # v <- (v + tau div z + (tau/a) psi) / (1 + tau/a), old v kept
+        v, v_old = v_old, v
+        backward_divergence(z, h, out=div)
+        div *= tau
+        np.add(v_old, div, out=v)
+        np.multiply(psi_v, tau / a, out=work)
+        v += work
+        v /= 1.0 + tau / a
+        theta = 1.0 / math.sqrt(1.0 + 2.0 * gamma * tau)
         tau *= theta
         sigma /= theta
-        v_bar = v + theta * (v - v_old)
+        np.subtract(v, v_old, out=v_bar)
+        v_bar *= theta
+        v_bar += v
         if it % _GAP_CHECK_EVERY == 0 or it == config.max_iter:
-            dz = backward_divergence(z, h)
-            v_rec = psi_v + a * dz
-            primal = (float(np.sum(W.eval(forward_gradient(v_rec, h)))) * voln
-                      + 0.5 / a * float(np.sum((v_rec - psi_v)**2)) * voln)
-            dual = (-float(np.sum(psi_v * dz)) * voln
-                    - 0.5 * a * float(np.sum(dz**2)) * voln)
-            gap = primal - dual
+            gap = _duality_gap(psi_v, W, a, h, voln, z, div, work, grad_gap)
+            history.append((it, gap))
             if gap <= gap_tol:
                 break
 
-    dz = backward_divergence(z, h)
-    psi_a = GridFunction(g, psi_v + a * dz)
-    zf = GridVectorField(g, z)
+    backward_divergence(z, h, out=div)
+    psi_a = GridFunction(g, psi_v + a * div)
+    zf = GridVectorField(g, np.ascontiguousarray(z))
     report = ResolventReport(
         iterations=it,
         gap=float(gap),
         gap_tol=float(gap_tol),
         converged=bool(gap <= gap_tol),
         l2_error_bound=float(np.sqrt(max(2.0 * a * gap, 0.0))),
+        gap_history=tuple(history),
     )
     return psi_a, zf, report
+
+
+def _duality_gap(psi_v, W, a, h, voln, z, dz, v_rec, grad):
+    """Duality gap of z and the primal point psi + a div z it gives.
+
+    Overwrites the caller's buffers: dz and v_rec of the grid's shape,
+    grad of shape (*shape, n).
+    """
+    backward_divergence(z, h, out=dz)
+    np.multiply(dz, a, out=v_rec)
+    np.add(psi_v, v_rec, out=v_rec)
+    energy = float(np.sum(W.eval(forward_gradient(v_rec, h, out=grad))))
+    v_rec -= psi_v
+    np.square(v_rec, out=v_rec)
+    primal = energy * voln + 0.5 / a * float(np.sum(v_rec)) * voln
+    np.multiply(psi_v, dz, out=v_rec)
+    pair = float(np.sum(v_rec))
+    np.square(dz, out=v_rec)
+    dual = -pair * voln - 0.5 * a * float(np.sum(v_rec)) * voln
+    return primal - dual
 
 
 def resolvent_bruteforce(psi: GridFunction, W, a: float,

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from facetflow.facets import rho_neighborhood
 from facetflow.grid import (Grid, GridFunction, GridVectorField,
-                            GridMismatchError, dilate, divergence_fd, erode,
+                            GridMismatchError, backward_divergence, dilate,
+                            divergence_fd, erode, forward_gradient,
                             gradient_centered, gradient_fd,
                             lipschitz_constant, mollify, torus_distance)
 
@@ -110,6 +111,34 @@ def test_dilation_is_max_over_graded_ball(n, N, data):
     assert np.array_equal(down, -dilate(GridFunction(g, -u.values), k * g.h).values)
     mask = rng.random(g.shape) < 0.3
     assert np.array_equal(rho_neighborhood(g, mask, k * g.h), _ball_max(mask, k))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_grid_pair_out_forms_match_allocating_forms(n):
+    """forward_gradient and backward_divergence written to a C-ordered
+    (*shape, n) array or to a moveaxis view of (n, *shape) storage equal
+    their allocating forms bit for bit, and match np.roll differences."""
+    g = Grid(n, 24)
+    rng = np.random.default_rng(11)
+    v = rng.standard_normal(g.shape)
+    z = rng.standard_normal(g.shape + (n,))
+    h = g.h
+    grad = forward_gradient(v, h)
+    div = backward_divergence(z, h)
+    assert np.array_equal(grad, np.stack(
+        [(np.roll(v, -1, axis=i) - v) / h for i in range(n)], axis=-1))
+    assert np.array_equal(div, sum(
+        (z[..., i] - np.roll(z[..., i], 1, axis=i)) / h for i in range(n)))
+    c_order = np.empty(g.shape + (n,))
+    first = np.moveaxis(np.empty((n,) + g.shape), 0, -1)
+    for out in (c_order, first):
+        assert forward_gradient(v, h, out=out) is out
+        assert np.array_equal(out, grad)
+    z_first = np.moveaxis(np.ascontiguousarray(np.moveaxis(z, -1, 0)), 0, -1)
+    for zz in (z, z_first):
+        out = np.empty(g.shape)
+        assert backward_divergence(zz, h, out=out) is out
+        assert np.array_equal(out, div)
 
 
 def test_lipschitz_constant_of_known_slope():
