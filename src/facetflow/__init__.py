@@ -10,7 +10,7 @@ difference-quotient curvature (`resolvent`), explicit evolution schemes
 """
 
 from .grid import (Grid, GridFunction, GridVectorField, GridMismatchError,
-                   gradient_fd, divergence_fd, gradient_centered,
+                   forward_gradient, backward_divergence, gradient_centered,
                    erode, dilate, mollify, lipschitz_constant,
                    torus_distance)
 from .anisotropy import (AnisotropyModel, EuclideanAnisotropy,
@@ -28,7 +28,7 @@ from .facets import (PairOfSets, PairDisjointError, SeparationError,
                      smooth_pair_between, SupportFunctionCertificate,
                      support_from_smooth_pair, admissibility_check,
                      ordered_support_function)
-from .resolvent import (ResolventConfig, ResolventReport, ConvergenceError,
+from .resolvent import (ResolventConfig, ResolventReport,
                         total_variation_energy, resolve_singular,
                         resolvent_bruteforce, curvature_dq, essinf_ball,
                         esssup_ball, facet_interior, monotonicity_check)

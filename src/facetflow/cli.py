@@ -36,8 +36,8 @@ from .evolution import (EvolutionConfig, SpeedLaw, StabilityError,
                         lipschitz_monitor, step_count)
 from .facets import PairOfSets, smooth_pair_between, support_from_smooth_pair
 from .grid import Grid, GridFunction
-from .resolvent import (ConvergenceError, ResolventConfig, curvature_dq,
-                        essinf_ball, monotonicity_check, resolve_singular)
+from .resolvent import (ResolventConfig, curvature_dq, monotonicity_check,
+                        resolve_singular)
 
 
 class SchemaError(ValueError):
@@ -80,15 +80,15 @@ _SCHEMA = {
     "anisotropy.diag": (str, None, None, None),
     "init.kind": (str, None, "tent",
                   ("tent", "sin", "disk", "constant", "random-smooth")),
-    "init.slope": (float, None, 0.5, None),
+    "init.slope": (float, None, 0.5, _POSITIVE),
     "init.amplitude": (float, None, 0.1, None),
-    "init.radius": (float, None, 0.2, None),
+    "init.radius": (float, None, 0.2, _POSITIVE),
     "init.level": (float, None, 0.0, None),
     "check.samples": (int, ("anisotropy-check",), 200, _POSITIVE),
     "resolvent.a": (float, ("resolvent", "monotonicity", "viscosity-test"),
                     0.005, _POSITIVE),
     "resolvent.max-iter": (int, _RESOLVE, 100000, _POSITIVE),
-    "resolvent.rel-gap-tol": (float, _RESOLVE, 1e-10, None),
+    "resolvent.rel-gap-tol": (float, _RESOLVE, 1e-10, _POSITIVE),
     "curvature.a": (float, ("curvature",), 0.001, _POSITIVE),
     "mono.pairs": (int, ("monotonicity",), 5, _POSITIVE),
     "evolve.m": (float, _FLOW, 16.0, _AT_LEAST_ONE),
@@ -102,7 +102,7 @@ _SCHEMA = {
     "barrier.delta": (float, ("barrier",), 0.5, _POSITIVE),
     "barrier.K": (float, ("barrier",), 2.0, _POSITIVE),
     "barrier.samples": (int, ("barrier",), 400, _POSITIVE),
-    "viscosity.radius": (float, ("viscosity-test",), 0.2, None),
+    "viscosity.radius": (float, ("viscosity-test",), 0.2, _POSITIVE),
 }
 
 
@@ -140,7 +140,14 @@ def parse_config(text: str) -> dict:
     for key, value in full.items():
         _check_value(key, value)
     if "anisotropy.diag" in full:
+        if full["anisotropy.model"] != "elliptic":
+            raise SchemaError("anisotropy.diag needs anisotropy.model = "
+                              "elliptic")
         _diag(full)
+    if full["check.peak-law"] and (full["grid.n"] != 1
+                                   or full["init.kind"] != "tent"):
+        raise SchemaError("check.peak-law is a 1D tent law: it needs "
+                          "grid.n = 1 and init.kind = tent")
     return full
 
 
@@ -192,6 +199,18 @@ def _resolvent_kw(cfg):
     """Solver limits shared by every resolvent scenario."""
     return {"max_iter": cfg["resolvent.max-iter"],
             "rel_gap_tol": cfg["resolvent.rel-gap-tol"]}
+
+
+def _certify(man, reports):
+    """The gap-certified check of a run's resolvent solves.  Each solve
+    that is not certified is also a numerical failure (exit 3)."""
+    for rep in reports:
+        if not rep.converged:
+            man.numerical_failure(
+                f"resolvent gap {rep.gap:.3e} above tol {rep.gap_tol:.3e} "
+                f"after {rep.iterations} iterations")
+    man.check("gap-certified", all(rep.converged for rep in reports),
+              min(rep.gap_tol - rep.gap for rep in reports))
 
 
 def _center_offsets(grid: Grid) -> np.ndarray:
@@ -346,13 +365,9 @@ def _scenario_resolvent(cfg, out, man, rng):
     psi_a, _z, rep = resolve_singular(psi, W, rc)
     write_snapshot(out / "input.grid", psi, 0.0)
     write_snapshot(out / "resolvent.grid", psi_a, a)
-    if not rep.converged:
-        man.numerical_failure(
-            f"resolvent gap {rep.gap:.3e} above tol {rep.gap_tol:.3e} "
-            f"after {rep.iterations} iterations")
     cols = ["time", "gap", "iterations", "l2_error_bound"]
     row = [0.0, rep.gap, rep.iterations, rep.l2_error_bound]
-    if cfg["init.kind"] == "tent":
+    if cfg["init.kind"] == "tent" and grid.n == 1:
         s = cfg["init.slope"]
         half_len, drop = _tent_measurements(psi, psi_a, s)
         tgt_len, tgt_drop = np.sqrt(2 * a / s), np.sqrt(2 * a * s)
@@ -361,7 +376,7 @@ def _scenario_resolvent(cfg, out, man, rng):
         man.check_target("peak-drop", drop, tgt_drop, 0.05 * tgt_drop)
         cols += ["half_length", "target_half_length", "drop", "target_drop"]
         row += [half_len, tgt_len, drop, tgt_drop]
-    man.check("gap-certified", rep.converged, rep.gap_tol - rep.gap)
+    _certify(man, [rep])
     write_series(out / "series.csv", cols, [row])
 
 
@@ -370,23 +385,27 @@ def _scenario_curvature(cfg, out, man, rng):
     W = _build_anisotropy(cfg)
     psi = _build_initial(cfg, grid, rng)
     a = cfg["curvature.a"]
-    lam = curvature_dq(psi, W, a, **_resolvent_kw(cfg))
-    write_snapshot(out / "input.grid", psi, 0.0)
-    write_snapshot(out / "curvature.grid", lam, 0.0)
-    rows = [(0.0, a, float(np.min(lam.values)), float(np.max(lam.values)))]
-    if cfg["init.kind"] == "disk" and grid.n == 2:
+    disk = cfg["init.kind"] == "disk" and grid.n == 2
+    if disk:
         R = cfg["init.radius"]
         delta = cfg["init.amplitude"]
         # average over the eroded facet {psi = max}, inside the Wulff ball
         # of radius R, whose curvature is -2/R for every model
         facet = _wulff_radius(W, grid) <= R - delta - 4 * grid.h
+        if not np.any(facet):
+            raise SchemaError("init.radius leaves the disk no facet node")
+    lam, rep = curvature_dq(psi, W, a, **_resolvent_kw(cfg))
+    write_snapshot(out / "input.grid", psi, 0.0)
+    write_snapshot(out / "curvature.grid", lam, 0.0)
+    rows = [(0.0, a, float(np.min(lam.values)), float(np.max(lam.values)))]
+    if disk:
         val = float(np.mean(lam.values[facet]))
         target = -2.0 / R
         man.check_target("disk-curvature", val, target, 0.1 * abs(target))
         rows[0] = rows[0] + (val, target)
     cols = ["time", "a", "min", "max"] + (
-        ["facet_mean", "facet_target"] if len(rows[0]) == 6 else [])
-    man.check("curvature-finite", np.all(np.isfinite(lam.values)), 1.0)
+        ["facet_mean", "facet_target"] if disk else [])
+    _certify(man, [rep])
     write_series(out / "series.csv", cols, rows)
 
 
@@ -395,18 +414,18 @@ def _scenario_monotonicity(cfg, out, man, rng):
     W = _build_anisotropy(cfg)
     pad = 0.2 * abs(cfg["init.amplitude"])    # hi >= lo for either sign
     worst = 0.0
-    rows = []
+    rows, reports = [], []
     for k in range(cfg["mono.pairs"]):
         lo, hi = _ordered_pair(cfg, grid, rng, pad)
         res = monotonicity_check(lo, hi, W, cfg["resolvent.a"],
                                  **_resolvent_kw(cfg))
-        rep_lo, rep_hi = res["reports"]
-        if not (rep_lo.converged and rep_hi.converged):
-            man.numerical_failure(f"pair {k}: resolvent gap not certified")
+        reports += res["reports"]
         worst = max(worst, res["violation"])
-        rows.append((float(k), res["violation"], rep_lo.gap, rep_hi.gap))
+        rows.append((float(k), res["violation"], reports[-2].gap,
+                     reports[-1].gap))
     man.check("order-preserved", worst <= 1e-6, 1e-6 - worst,
               f"worst violation {fmt(worst)}")
+    _certify(man, reports)
     write_series(out / "series.csv", ["time", "violation", "gap_lo", "gap_hi"],
                  rows)
 
@@ -481,30 +500,27 @@ def _scenario_compare(cfg, out, man, rng):
 def _scenario_barrier(cfg, out, man, rng):
     W = _build_anisotropy(cfg)
     delta, K = cfg["barrier.delta"], cfg["barrier.K"]
-    try:
-        m0, A, q, mu = choose_parameters(delta, K, W)
-    except ParameterError as e:
-        man.check("conjugate-lower-bound", False, -1.0, str(e))
-        write_series(out / "series.csv", ["time"], [(0.0,)])
-        return
-    man.check("constant-A", abs(A - delta / (8 * mu)) <= 1e-15, 1e-15,
-              f"A={fmt(A)}")
-    man.check("constant-q", abs(q - 8 * K / delta) <= 1e-15, 1e-15,
-              f"q={fmt(q)}")
-    man.check("conjugate-lower-bound", True, 1.0, f"m0={fmt(m0)}")
+    samples = cfg["barrier.samples"]
     speed = SpeedLaw(cfg["evolve.scale"], cfg["evolve.forcing"])
+    stage = "conjugate-lower-bound"    # the check that an error below fails
     try:
-        fam = build_barrier(m0, A, q, W, speed=speed,
-                            n_check=cfg["barrier.samples"])
-    except BarrierConstructionError as e:
-        man.check("barrier-bounds", False, -1.0, str(e))
+        m0, A, q, mu = choose_parameters(delta, K, W, n_verify=samples)
+        man.check("constant-A", abs(A - delta / (8 * mu)) <= 1e-15, 1e-15,
+                  f"A={fmt(A)}")
+        man.check("constant-q", abs(q - 8 * K / delta) <= 1e-15, 1e-15,
+                  f"q={fmt(q)}")
+        man.check(stage, True, 1.0, f"m0={fmt(m0)}")
+        stage = "barrier-bounds"
+        fam = build_barrier(m0, A, q, W, speed=speed, n_check=samples)
+    except (ParameterError, BarrierConstructionError) as e:
+        man.check(stage, False, -1.0, str(e))
         write_series(out / "series.csv", ["time"], [(0.0,)])
         return
     man.check("barrier-bounds", True, 1.0,
               f"beta={fmt(fam.beta)} Lm_max={fmt(fam.provenance['Lm_max'])}")
     # supersolution residual of phi(x,t) = beta t + W*(x): residual =
     # beta + F(grad W*, L_m W*) >= beta - sup|F| >= 1 by construction
-    xs = rng.normal(scale=1.0, size=(cfg["barrier.samples"], W.n))
+    xs = rng.normal(scale=1.0, size=(samples, W.n))
     _v, p, Hc = fam.conjugate(xs, with_derivatives=True)
     Lm = np.einsum("kij,kji->k", fam.W_m.hess(p), Hc)
     resid = fam.beta + np.asarray(speed(p, Lm))
@@ -520,7 +536,7 @@ def _scenario_viscosity_test(cfg, out, man, rng):
     grid = Grid(2, cfg["grid.N"])
     W = _build_anisotropy(cfg)
     R = cfg["viscosity.radius"]
-    plus = np.sum(_center_offsets(grid)**2, axis=-1) <= R**2
+    plus = np.sum(_center_offsets(grid)**2, axis=-1) <= np.square(R)
     pair = PairOfSets(grid, np.zeros(grid.shape, bool), plus)
     sp = smooth_pair_between(pair, 2 * grid.h, 14 * grid.h)
     cert = support_from_smooth_pair(sp, W)
@@ -532,21 +548,16 @@ def _scenario_viscosity_test(cfg, out, man, rng):
     res = faceted_test_residual(0.0, cert.psi, W, np.array([0.5, 0.5]),
                                 deltas, cfg["resolvent.a"], speed,
                                 **_resolvent_kw(cfg))
-    lam = res["curvature"]
-    infs = [essinf_ball(lam, np.array([0.5, 0.5]), d) for d in deltas]
-    mono = all(b <= a_ + 1e-12 for a_, b in zip(infs, infs[1:]))
-    man.check("essinf-monotone", mono,
-              min((a_ - b for a_, b in zip(infs, infs[1:])), default=0.0),
-              "essential infimum shrinks with radius")
+    _certify(man, [res["report"]])
     # g' = 0, so each residual is F(0, essinf Lambda): positive on every
     # ball when the top facet descends
     low = min(res["residuals"].values())
     man.check("faceted-test-signs", low > 0, low)
     write_snapshot(out / "support.grid", cert.psi, 0.0)
-    write_snapshot(out / "curvature.grid", lam, 0.0)
+    write_snapshot(out / "curvature.grid", res["curvature"], 0.0)
     write_series(out / "series.csv",
                  ["time", "delta", "essinf"],
-                 [(0.0, d, v) for d, v in zip(deltas, infs)])
+                 [(0.0, d, v) for d, v in res["essinf"].items()])
 
 
 _RUNNERS = {
@@ -692,11 +703,11 @@ def run(config_path, out_dir=None, seed=None, quiet=False) -> int:
     status = 0
     try:
         _RUNNERS[cfg["scenario"]](cfg, out, man, rng)
-    except (ConvergenceError, StabilityError) as e:
-        man.numerical_failure(str(e))
     except SchemaError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    except (StabilityError, ArithmeticError, ValueError) as e:
+        man.numerical_failure(str(e))    # config errors were caught above
     wall = time.perf_counter() - t0
     (out / "manifest.txt").write_text(man.render())
     (out / "timing.txt").write_text(f"wall_clock_s = {wall:.3f}\n")

@@ -157,21 +157,15 @@ def comparison_harness(u0_lo: GridFunction, u0_hi: GridFunction, W_m,
         raise ValueError("initial states are not ordered")
     tr_lo = evolve(u0_lo, W_m, speed, config)
     tr_hi = evolve(u0_hi, W_m, speed, config)
-    worst = 0.0
-    worst_t = 0.0
-    for t, s_lo, s_hi in zip(tr_lo.times, tr_lo.states, tr_hi.states):
-        crossing = float(max(0.0, -np.min(s_hi.values - s_lo.values)))
-        if crossing > worst:
-            worst, worst_t = crossing, t
-    return {"max_crossing": worst, "at_time": worst_t,
-            "traces": (tr_lo, tr_hi)}
+    worst = max(float(max(0.0, -np.min(hi.values - lo.values)))
+                for lo, hi in zip(tr_lo.states, tr_hi.states))
+    return {"max_crossing": worst}
 
 
 def lipschitz_monitor(trace: EvolutionTrace) -> dict:
     lips = np.asarray(trace.lipschitz)
     return {"initial": float(lips[0]), "max": float(np.max(lips)),
             "final": float(lips[-1]),
-            "growth": float(np.max(lips) / max(lips[0], 1e-300)),
             "budget": _lipschitz_budget(float(lips[0]))}
 
 
@@ -190,7 +184,7 @@ def m_refinement_study(u0: GridFunction, W, speed: SpeedLaw, t_end: float,
         finals.append(tr.final())
     gaps = [float(np.max(np.abs(a.values - b.values)))
             for a, b in zip(finals, finals[1:])]
-    return {"m_values": list(m_values), "gaps": gaps, "finals": finals}
+    return {"gaps": gaps, "finals": finals}
 
 
 def conventional_test_residual(phi_t: float, p, xi, speed: SpeedLaw) -> float:
@@ -207,14 +201,17 @@ def faceted_test_residual(g_prime: float, psi: GridFunction, W, x0,
 
     Lambda is the difference-quotient curvature of the support function
     psi at scale a; the essential infimum is taken over Euclidean balls
-    of each radius in deltas around x0.  Returns the residuals per delta
-    (for a subsolution test they should be <= 0 up to scheme error).
+    of each radius in deltas around x0.  Returns the residuals and the
+    essential infima per delta (for a subsolution test the residuals
+    should be <= 0 up to scheme error), the curvature and the report of
+    the resolvent solve behind it.
     """
-    lam = curvature_dq(psi, W, a, **resolvent_kw)
+    lam, rep = curvature_dq(psi, W, a, **resolvent_kw)
     zero_p = np.zeros((1, psi.grid.n))
-    out = {}
+    out, infs = {}, {}
     for d in deltas:
-        xi = essinf_ball(lam, x0, d)
+        xi = infs[float(d)] = essinf_ball(lam, x0, d)
         out[float(d)] = g_prime + float(np.asarray(
             speed(zero_p, np.atleast_1d(xi)))[0])
-    return {"residuals": out, "curvature": lam}
+    return {"residuals": out, "essinf": infs, "curvature": lam,
+            "report": rep}

@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import (Grid, GridFunction, GridVectorField, dilate_cells,
-                   divergence_fd, gradient_centered, mollify)
+from .grid import (Grid, GridFunction, GridVectorField, backward_divergence,
+                   dilate_cells, gradient_centered, mollify)
+
+_CERT_TOL = 5e-2    # distance of z from dW(grad psi) a certificate tolerates
 
 
 class PairDisjointError(ValueError):
@@ -227,8 +229,19 @@ def _smoothness_radius(grid: Grid, depth: np.ndarray, band: float) -> float:
     return float(np.min(np.abs(depth[kink])))
 
 
-def support_from_smooth_pair(pair: PairOfSets, W,
-                             tol: float = 5e-2) -> SupportFunctionCertificate:
+def _cahn_hoffman(W, grid: Grid, v: np.ndarray):
+    """Magnitudes of the centred gradient p of node values v, and the
+    Cahn-Hoffman field grad W(p/|p|), 0 where p vanishes."""
+    p = gradient_centered(GridFunction(grid, v)).values
+    norms = np.linalg.norm(p, axis=-1)
+    keep = norms > 1e-8
+    unit = np.where(keep[..., None], p / np.where(keep, norms, 1.0)[..., None],
+                    np.eye(grid.n)[0])
+    return norms, np.where(keep[..., None], W.grad(unit), 0.0)
+
+
+def support_from_smooth_pair(pair: PairOfSets,
+                             W) -> SupportFunctionCertificate:
     """Support function of a separated smooth pair, with its certificate.
 
     Writes the double ramp psi = chi(depth+) - chi(depth-), where
@@ -256,13 +269,7 @@ def support_from_smooth_pair(pair: PairOfSets, W,
     psi_vals = _chi(depth_p, delta) - _chi(depth_m, delta)
 
     def branch(depth):
-        p = gradient_centered(GridFunction(g, np.minimum(depth, 3 * delta))).values
-        norms = np.linalg.norm(p, axis=-1)
-        keep = norms > 1e-8
-        unit = np.where(keep[..., None], p / np.where(keep, norms, 1.0)[..., None],
-                        np.eye(g.n)[0])
-        zb = W.grad(unit)
-        return np.where(keep[..., None], zb, 0.0)
+        return _cahn_hoffman(W, g, np.minimum(depth, 3 * delta))[1]
 
     z_vals = (_theta(depth_p, delta)[..., None] * branch(depth_p)
               + _theta(depth_m, delta)[..., None] * (-branch(depth_m)))
@@ -276,12 +283,11 @@ def support_from_smooth_pair(pair: PairOfSets, W,
         delta=float(delta),
         report={},
     )
-    cert.report = admissibility_check(cert, W, tol=tol)
+    cert.report = admissibility_check(cert, W)
     return cert
 
 
-def admissibility_check(cert: SupportFunctionCertificate, W,
-                        tol: float = 5e-2) -> dict:
+def admissibility_check(cert: SupportFunctionCertificate, W) -> dict:
     """Node-wise audit of z in dW(grad psi) plus a divergence bound.
 
     The ramps of a support function built from distance functions have
@@ -294,30 +300,26 @@ def admissibility_check(cert: SupportFunctionCertificate, W,
     by projection distance.
     """
     g = cert.psi.grid
-    p = gradient_centered(cert.psi).values.reshape(-1, g.n)
+    norms, ch = _cahn_hoffman(W, g, cert.psi.values)
+    sloped = norms.reshape(-1) >= 0.9
     z = cert.z.values.reshape(-1, g.n)
-    norms = np.linalg.norm(p, axis=-1)
-    sloped = norms >= 0.9
 
     gauge_dist = np.linalg.norm(z - W.wulff_project(z.copy()), axis=-1)
-    flat_ok = gauge_dist <= tol
+    flat_ok = gauge_dist <= _CERT_TOL
 
-    keep = norms > 1e-12
-    unit = np.where(keep[:, None], p / np.where(keep, norms, 1.0)[:, None],
-                    np.eye(g.n)[0])
-    ch = W.grad(unit)
-    sloped_ok = np.linalg.norm(z - ch, axis=-1) <= tol
+    ch_dist = np.linalg.norm(z - ch.reshape(-1, g.n), axis=-1)
+    sloped_ok = ch_dist <= _CERT_TOL
 
     ok = np.where(sloped, sloped_ok, flat_ok)
-    div = divergence_fd(cert.z).values
-    worst = int(np.argmin(ok * 1.0 - (~ok) * np.linalg.norm(z - ch, axis=-1)))
+    div = backward_divergence(cert.z.values, g.h)
+    worst = int(np.argmin(ok * 1.0 - (~ok) * ch_dist))
     return {
         "defect_fraction": float(np.mean(~ok)),
         "n_defects": int(np.sum(~ok)),
         "sloped_fraction": float(np.mean(sloped)),
         "max_divergence": float(np.max(np.abs(div))),
         "worst_node": np.unravel_index(worst, g.shape),
-        "tol": tol,
+        "tol": _CERT_TOL,
     }
 
 

@@ -157,16 +157,6 @@ def backward_divergence(z: np.ndarray, h: float, out=None) -> np.ndarray:
     return out
 
 
-def gradient_fd(u: GridFunction) -> GridVectorField:
-    """Forward-difference gradient (adjoint to divergence_fd)."""
-    return GridVectorField(u.grid, forward_gradient(u.values, u.grid.h))
-
-
-def divergence_fd(z: GridVectorField) -> GridFunction:
-    """Backward-difference divergence; exact negative adjoint of gradient_fd."""
-    return GridFunction(z.grid, backward_divergence(z.values, z.grid.h))
-
-
 def gradient_centered(u: GridFunction) -> GridVectorField:
     h = u.grid.h
     comps = [(np.roll(u.values, -1, axis=i) - np.roll(u.values, 1, axis=i)) / (2 * h)
@@ -231,8 +221,8 @@ def mollify(u: GridFunction, radius: float) -> GridFunction:
 
 def lipschitz_constant(u: GridFunction) -> float:
     """Max magnitude of the discrete (forward-difference) gradient."""
-    g = gradient_fd(u)
-    return float(np.max(np.sqrt(np.sum(g.values**2, axis=-1))))
+    g = forward_gradient(u.values, u.grid.h)
+    return float(np.max(np.sqrt(np.sum(g**2, axis=-1))))
 
 
 def inner(u: GridFunction, v: GridFunction) -> float:

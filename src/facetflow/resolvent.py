@@ -18,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (GridFunction, GridVectorField, backward_divergence,
-                   forward_gradient, gradient_fd)
+                   forward_gradient)
 
 _GAP_CHECK_EVERY = 25    # PD iterations between duality-gap evaluations
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative solve did not reach its tolerance."""
+_FACET_SLOPE_FRAC = 0.05  # facet_interior: largest slope, share of Lip(psi)
 
 
 @dataclass
@@ -43,15 +40,19 @@ class ResolventReport:
     iterations: int
     gap: float
     gap_tol: float
-    converged: bool
     l2_error_bound: float
     gap_history: tuple = ()    # (iteration, gap) of every gap check
+
+    @property
+    def converged(self) -> bool:
+        """The solve is certified: a finite duality gap within tolerance."""
+        return bool(np.isfinite(self.gap) and self.gap <= self.gap_tol)
 
 
 def total_variation_energy(u: GridFunction, W) -> float:
     """Discrete anisotropic total variation sum h^n W(grad u)."""
-    g = gradient_fd(u)
-    return float(np.sum(W.eval(g.values))) * u.grid.h**u.grid.n
+    g = forward_gradient(u.values, u.grid.h)
+    return float(np.sum(W.eval(g))) * u.grid.h**u.grid.n
 
 
 def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
@@ -134,7 +135,6 @@ def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
         iterations=it,
         gap=float(gap),
         gap_tol=float(gap_tol),
-        converged=bool(gap <= gap_tol),
         l2_error_bound=float(np.sqrt(max(2.0 * a * gap, 0.0))),
         gap_history=tuple(history),
     )
@@ -180,15 +180,17 @@ def resolvent_bruteforce(psi: GridFunction, W, a: float,
     return GridFunction(g, psi_v + a * backward_divergence(z, h))
 
 
-def curvature_dq(psi: GridFunction, W, a: float, **kw) -> GridFunction:
+def curvature_dq(psi: GridFunction, W, a: float, **kw):
     """Difference-quotient curvature (psi_a - psi)/a = div z.
 
-    Approaches minus the minimal section of the energy subdifferential
-    as a -> 0 (the quotient is monotone in a and converges in L^2).
+    Returns (curvature, report), the report of the resolvent solve that
+    certifies it.  Approaches minus the minimal section of the energy
+    subdifferential as a -> 0 (the quotient is monotone in a and
+    converges in L^2).
     """
     cfg = ResolventConfig(a=a, **kw)
-    psi_a, _z, _rep = resolve_singular(psi, W, cfg)
-    return GridFunction(psi.grid, (psi_a.values - psi.values) / a)
+    psi_a, _z, rep = resolve_singular(psi, W, cfg)
+    return GridFunction(psi.grid, (psi_a.values - psi.values) / a), rep
 
 
 def essinf_ball(u: GridFunction, x0, delta: float) -> float:
@@ -211,19 +213,18 @@ def _ball_extreme(u: GridFunction, x0, delta, reduce):
     return float(reduce(u.values[tuple(idx[:, i] for i in range(g.n))]))
 
 
-def facet_interior(psi: GridFunction, level: float = 0.0,
-                   slope_frac: float = 0.05) -> np.ndarray:
+def facet_interior(psi: GridFunction, level: float = 0.0) -> np.ndarray:
     """Mask of nodes on the flat part of the level facet of psi.
 
     A node belongs to the facet interior when psi is within a cell-height
-    of the level and the forward gradient is below slope_frac times the
-    Lipschitz constant of psi.
+    of the level and the forward gradient is below _FACET_SLOPE_FRAC
+    times the Lipschitz constant of psi.
     """
-    g = gradient_fd(psi)
-    slopes = np.sqrt(np.sum(g.values**2, axis=-1))
+    g = forward_gradient(psi.values, psi.grid.h)
+    slopes = np.sqrt(np.sum(g**2, axis=-1))
     lip = max(float(np.max(slopes)), 1e-15)
     near = np.abs(psi.values - level) <= psi.grid.h * max(lip, 1.0)
-    return near & (slopes <= slope_frac * lip)
+    return near & (slopes <= _FACET_SLOPE_FRAC * lip)
 
 
 def monotonicity_check(psi_lo: GridFunction, psi_hi: GridFunction, W, a: float,
@@ -238,7 +239,5 @@ def monotonicity_check(psi_lo: GridFunction, psi_hi: GridFunction, W, a: float,
     gapv = hi_a.values - lo_a.values
     return {
         "violation": float(max(0.0, -np.min(gapv))),
-        "min_gap": float(np.min(gapv)),
-        "error_budget": rep_lo.l2_error_bound + rep_hi.l2_error_bound,
         "reports": (rep_lo, rep_hi),
     }

@@ -193,7 +193,7 @@ def test_04_curvature_values():
     kappa = (pxx * py**2 + pyy * px**2) / np.maximum(grad, 1e-12) ** 3
     mask = grad >= 0.4 * grad.max()
     W2 = EuclideanAnisotropy(2)
-    lam = curvature_dq(psi, W2, 2e-5, max_iter=100000, rel_gap_tol=1e-8)
+    lam, _ = curvature_dq(psi, W2, 2e-5, max_iter=100000, rel_gap_tol=1e-8)
     err = np.sqrt(np.sum((lam.values - kappa)[mask] ** 2)
                   / np.sum(kappa[mask] ** 2))
     ok = err <= 0.05
@@ -201,8 +201,8 @@ def test_04_curvature_values():
     g1 = Grid(1, 512)
     L = 0.25
     psi1 = _plateau_1d(g1, L, 0.06)
-    lam1 = curvature_dq(psi1, EuclideanAnisotropy(1), 2e-4,
-                        max_iter=100000, rel_gap_tol=1e-8)
+    lam1, _ = curvature_dq(psi1, EuclideanAnisotropy(1), 2e-4,
+                           max_iter=100000, rel_gap_tol=1e-8)
     d = np.minimum(np.abs(g1.coords()[..., 0] - 0.5),
                    1 - np.abs(g1.coords()[..., 0] - 0.5))
     on1 = d <= L / 2 - 6 * g1.h
@@ -212,7 +212,7 @@ def test_04_curvature_values():
     g2 = Grid(2, 256)
     R = 0.2
     psi2 = _plateau_disk(g2, R, 0.05)
-    lam2 = curvature_dq(psi2, W2, 2e-4, max_iter=100000, rel_gap_tol=1e-5)
+    lam2, _ = curvature_dq(psi2, W2, 2e-4, max_iter=100000, rel_gap_tol=1e-5)
     c2 = g2.coords()
     d2 = np.sqrt(sum(np.minimum(np.abs(c2[..., i] - 0.5),
                                 1 - np.abs(c2[..., i] - 0.5)) ** 2
@@ -236,8 +236,8 @@ def test_05_rescaling_invariance():
                         + 0.5 * np.clip(base.values, None, 0))
     W = EuclideanAnisotropy(1)
     kw = dict(max_iter=100000, rel_gap_tol=1e-8)
-    l1 = curvature_dq(base, W, 2e-4, **kw)
-    l2 = curvature_dq(resc, W, 2e-4, **kw)
+    l1, _ = curvature_dq(base, W, 2e-4, **kw)
+    l2, _ = curvature_dq(resc, W, 2e-4, **kw)
     d = np.minimum(np.abs(g.coords()[..., 0] - 0.5),
                    1 - np.abs(g.coords()[..., 0] - 0.5))
     facet = d <= L / 2 - 6 * g.h
@@ -256,8 +256,8 @@ def test_06_curvature_monotonicity():
     lo = _plateau_1d(g, 0.2, delta)
     hi = _plateau_1d(g, 0.3, delta)
     W1 = EuclideanAnisotropy(1)
-    ll = curvature_dq(lo, W1, a, **kw)
-    lh = curvature_dq(hi, W1, a, **kw)
+    ll, _ = curvature_dq(lo, W1, a, **kw)
+    lh, _ = curvature_dq(hi, W1, a, **kw)
     d = np.minimum(np.abs(g.coords()[..., 0] - 0.5),
                    1 - np.abs(g.coords()[..., 0] - 0.5))
     inter = d <= 0.1 - 6 * g.h
@@ -268,8 +268,8 @@ def test_06_curvature_monotonicity():
     lo2 = _plateau_disk(g2, 0.15, delta)
     hi2 = _plateau_disk(g2, 0.2, delta)
     W2 = EuclideanAnisotropy(2)
-    cl = curvature_dq(lo2, W2, a, **kw)
-    ch = curvature_dq(hi2, W2, a, **kw)
+    cl, _ = curvature_dq(lo2, W2, a, **kw)
+    ch, _ = curvature_dq(hi2, W2, a, **kw)
     c2 = g2.coords()
     d2 = np.sqrt(sum(np.minimum(np.abs(c2[..., i] - 0.5),
                                 1 - np.abs(c2[..., i] - 0.5)) ** 2

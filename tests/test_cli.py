@@ -5,6 +5,7 @@ import filecmp
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +161,29 @@ def test_run_nonfinite_value_exits_2(tmp_path):
     "scenario = evolve\nevolve.m = 0.5\n",
     "scenario = compare\nevolve.scale = 0\n",
     "scenario = barrier\nevolve.scale = -1\n",
+    "scenario = viscosity-test\nviscosity.radius = -0.1\n",
+    "scenario = resolvent\nresolvent.rel-gap-tol = -1\n",
+    "scenario = curvature\ninit.radius = 0\n",
+    # a diag that l4 would ignore
+    "scenario = anisotropy-check\ngrid.n = 2\nanisotropy.model = l4\n"
+    "anisotropy.diag = 4,1\n",
+    # R - amplitude - 4h < 0: the disk has no facet node to average over
+    "scenario = curvature\ngrid.n = 2\ngrid.N = 16\ninit.kind = disk\n"
+    "init.radius = 0.2\ninit.amplitude = 0.1\n",
 ])
 def test_run_out_of_range_int_or_diag_exits_2(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
+                 "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    "scenario = evolve\ngrid.n = 2\ngrid.N = 16\ncheck.peak-law = 1\n",
+    "scenario = evolve\ngrid.n = 1\ninit.kind = sin\ncheck.peak-law = 1\n",
+])
+def test_run_peak_law_off_the_1d_tent_exits_2(tmp_path, text):
+    """The peak law sqrt(2 s t) is a law of the 1D tent only."""
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text)
     assert main(["run", str(cfg), "--out", str(tmp_path / "out"),
@@ -278,11 +300,14 @@ TINY_RUNS = {
                           "midpoint-convexity", "euler-identity"]),
     "resolvent": ("scenario = resolvent\ngrid.n = 1\ngrid.N = 64\n",
                   ["facet-half-length", "peak-drop", "gap-certified"]),
+    # the facet length and drop laws are 1D tent laws
+    "resolvent-tent-2d": ("scenario = resolvent\ngrid.n = 2\ngrid.N = 16\n"
+                          "init.kind = tent\n", ["gap-certified"]),
     "curvature": ("scenario = curvature\ngrid.n = 2\ngrid.N = 32\n"
                   "init.kind = disk\ninit.radius = 0.25\n"
                   "init.amplitude = 0.05\ncurvature.a = 0.001\n"
                   "resolvent.rel-gap-tol = 1e-6\n",
-                  ["disk-curvature", "curvature-finite"]),
+                  ["disk-curvature", "gap-certified"]),
     # the disk is the model's Wulff ball, whose curvature is -2/R for
     # every model (a Euclidean disk gave -14.96 and -8.81 against -10)
     "curvature-elliptic": ("scenario = curvature\ngrid.n = 2\ngrid.N = 48\n"
@@ -290,18 +315,19 @@ TINY_RUNS = {
                            "init.radius = 0.2\ninit.amplitude = 0.05\n"
                            "curvature.a = 0.0005\n"
                            "resolvent.rel-gap-tol = 1e-5\n",
-                           ["disk-curvature", "curvature-finite"]),
+                           ["disk-curvature", "gap-certified"]),
     "curvature-l4": ("scenario = curvature\ngrid.n = 2\ngrid.N = 48\n"
                      "anisotropy.model = l4\ninit.kind = disk\n"
                      "init.radius = 0.2\ninit.amplitude = 0.05\n"
                      "curvature.a = 0.0005\nresolvent.rel-gap-tol = 1e-5\n",
-                     ["disk-curvature", "curvature-finite"]),
+                     ["disk-curvature", "gap-certified"]),
     "monotonicity": ("scenario = monotonicity\ngrid.n = 1\ngrid.N = 32\n"
-                     "mono.pairs = 2\n", ["order-preserved"]),
+                     "mono.pairs = 2\n", ["order-preserved", "gap-certified"]),
     # a negative amplitude still gives ordered pairs
     "monotonicity-negative": ("scenario = monotonicity\ngrid.n = 1\n"
                               "grid.N = 64\ninit.amplitude = -0.15\n"
-                              "mono.pairs = 2\n", ["order-preserved"]),
+                              "mono.pairs = 2\n",
+                              ["order-preserved", "gap-certified"]),
     "evolve": ("scenario = evolve\ngrid.n = 1\ngrid.N = 16\nevolve.m = 4\n"
                "evolve.t-end = 0.002\ncheck.peak-law = 1\n",
                ["lipschitz-bound", "peak-law"]),
@@ -316,7 +342,7 @@ TINY_RUNS = {
                 ["constant-A", "constant-q", "conjugate-lower-bound",
                  "barrier-bounds", "supersolution-residual"]),
     "viscosity-test": ("scenario = viscosity-test\ngrid.N = 48\n",
-                       ["certificate-defects", "essinf-monotone",
+                       ["certificate-defects", "gap-certified",
                         "faceted-test-signs"]),
 }
 
@@ -324,7 +350,7 @@ TINY_RUNS = {
 # the two anisotropic disks take 10-20 s each on a 2-vCPU VM, so they run
 # with the slow tier
 @pytest.mark.parametrize("name", SCENARIO_KINDS + (
-    "monotonicity-negative", "evolve-forcing",
+    "resolvent-tent-2d", "monotonicity-negative", "evolve-forcing",
     pytest.param("curvature-elliptic", marks=pytest.mark.slow),
     pytest.param("curvature-l4", marks=pytest.mark.slow)))
 def test_run_tiny_scenario_passes(tmp_path, name):
@@ -336,6 +362,32 @@ def test_run_tiny_scenario_passes(tmp_path, name):
     manifest = (out / "manifest.txt").read_text().splitlines()
     assert [line.split(":")[0][len("check "):] for line in manifest
             if line.startswith("check ")] == checks
+
+
+def test_run_uncertified_curvature_exits_3(tmp_path):
+    """Ten primal-dual iterations leave the gap far above its tolerance:
+    the run says so and fails rather than report an unchecked curvature."""
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("scenario = curvature\ngrid.n = 1\ngrid.N = 64\n"
+                   "resolvent.max-iter = 10\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+    manifest = (out / "manifest.txt").read_text()
+    assert "numerical-failure: resolvent gap" in manifest
+    assert "check gap-certified: FAIL" in manifest
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_overflowing_data_is_a_numerical_failure(tmp_path):
+    """Data near the largest double overflow the solver and the explicit
+    scheme: exit 3 with a manifest, not a certified gap or a traceback."""
+    for scenario in ("resolvent", "compare"):
+        cfg = tmp_path / f"{scenario}.cfg"
+        cfg.write_text(f"scenario = {scenario}\ngrid.n = 1\ngrid.N = 16\n"
+                       "init.kind = sin\ninit.amplitude = 1e300\n")
+        out = tmp_path / scenario
+        assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
+        assert "numerical-failure" in (out / "manifest.txt").read_text()
 
 
 def test_run_flat_support_fails_faceted_signs(tmp_path):
@@ -359,3 +411,86 @@ def test_run_resolvent_template(tmp_path):
     assert "check facet-half-length: pass" in manifest
     assert "check peak-drop: pass" in manifest
     assert (out / "resolvent.grid").exists()
+
+
+# values for the hypothesis contract test: typical ones and both ends of
+# the double range
+_POS = st.sampled_from([1e-300, 1e-6, 0.05, 0.2, 1.0, 7.0, 1e300])
+_SIGNED = _POS | _POS.map(lambda v: -v) | st.just(0.0)
+# keys whose range is cut so that every example runs in well under a
+# second: tiny grids, few iterations, a short flow and few samples
+_TINY = {
+    "grid.N": st.integers(8, 16),
+    "seed": st.integers(0, 3),
+    "check.samples": st.integers(1, 8),
+    "resolvent.max-iter": st.integers(1, 60),
+    "mono.pairs": st.integers(1, 2),
+    "compare.pairs": st.integers(1, 2),
+    "barrier.samples": st.integers(1, 8),
+    "evolve.record-every": st.integers(0, 3),
+    "evolve.m": st.sampled_from([1.0, 4.0, 32.0]),
+    "evolve.t-end": st.sampled_from([1e-300, 1e-6, 1e-5]),
+    "evolve.cfl": st.sampled_from([0.4, 1.0, 10.0]),
+    "evolve.scale": st.sampled_from([1e-300, 0.2, 1.0, 7.0, 1e300]),
+}
+
+
+@st.composite
+def _tiny_config(draw, kind):
+    """Config text for a scenario kind: the keys of _TINY that the kind
+    accepts are set, each other key is set to a value of its documented
+    type or left to its default."""
+    cfg = {"scenario": kind}
+    for key, (typ, kinds, _default, allowed) in _SCHEMA.items():
+        if key in ("scenario", "out.dir") or (kinds and kind not in kinds):
+            continue
+        if key in _TINY:
+            cfg[key] = draw(_TINY[key])
+        elif not draw(st.booleans()):
+            continue
+        elif key == "anisotropy.diag":
+            if cfg.get("anisotropy.model") == "elliptic":
+                n = 2 if kind == "viscosity-test" else cfg.get("grid.n", 1)
+                cfg[key] = ",".join(repr(draw(_POS)) for _ in range(n))
+        elif typ is str or key in ("grid.n", "check.peak-law"):
+            cfg[key] = draw(st.sampled_from(list(allowed)))
+        else:
+            cfg[key] = draw(_SIGNED if allowed is None else _POS)
+    return "".join(f"{key} = {value}\n" for key, value in cfg.items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_exit_contract(kind, data):
+    """Any config of the documented types exits 0, 2, 3 or 4, never with
+    a traceback, and writes a manifest unless the config is refused."""
+    text = data.draw(_tiny_config(kind))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        out = Path(tmp) / "out"
+        status = main(["run", str(cfg), "--out", str(out), "--quiet"])
+        assert status in (0, 2, 3, 4)
+        assert status == 2 or (out / "manifest.txt").exists()
+
+
+def test_every_export_is_used():
+    """Every name the package exports is used in its modules outside its
+    own definition, or in the tests: no public function that nothing
+    calls and nothing tests."""
+    src = Path(facetflow.__file__).parent
+    init = ast.parse((src / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    files = ([p for p in src.glob("*.py") if p.name != "__init__.py"]
+             + list(Path(__file__).parent.glob("*.py")))
+    used = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(exported - used) == []

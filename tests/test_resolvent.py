@@ -99,8 +99,9 @@ def test_curvature_dq_of_1d_facet():
     L, delta = 0.25, 0.06
     d = np.minimum(np.abs(x - 0.5), 1 - np.abs(x - 0.5))
     psi = GridFunction(g, np.clip(L / 2 + delta - d, 0, delta))
-    lam = curvature_dq(psi, EuclideanAnisotropy(1), 2e-4,
-                       max_iter=100000, rel_gap_tol=1e-8)
+    lam, rep = curvature_dq(psi, EuclideanAnisotropy(1), 2e-4,
+                            max_iter=100000, rel_gap_tol=1e-8)
+    assert rep.converged
     on_facet = d <= L / 2 - 6 * g.h
     assert np.mean(lam.values[on_facet]) == pytest.approx(-2.0 / L, rel=0.05)
 
