@@ -8,6 +8,8 @@ mollified regularizations with a quadratic term.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .grid import bump
@@ -51,6 +53,21 @@ def _flat_points(z, n):
     """
     z = _as_points(z, n)
     return np.ascontiguousarray(z).reshape(-1, n), z.shape
+
+
+def _plane_sum(p, f):
+    """sum_i f(p[..., i]), one component plane at a time, in the order
+    np.sum(f(p), axis=-1) adds them; no temporary has a trailing axis of
+    length n, and a component-first view is read plane by plane."""
+    out = f(p[..., 0], out=np.empty(p.shape[:-1]))
+    for i in range(1, p.shape[-1]):
+        out += f(p[..., i])
+    return out
+
+
+def _fourth(x, out=None):
+    """x**4 as two squarings, not numpy's general power."""
+    return np.square(np.square(x, out=out), out=out)
 
 
 def _emit(p, shape, out):
@@ -113,7 +130,8 @@ class EuclideanAnisotropy(AnisotropyModel):
 
     def eval(self, p):
         p = _as_points(p, self.n)
-        return np.sqrt(np.sum(p**2, axis=-1))
+        nrm = _plane_sum(p, np.square)
+        return np.sqrt(nrm, out=nrm)[()]
 
     def grad(self, p):
         p = _as_points(p, self.n)
@@ -136,9 +154,7 @@ class EuclideanAnisotropy(AnisotropyModel):
     def wulff_project(self, z, out=None):
         # z / max(|z|, 1), the squared norm summed component by component
         z = _as_points(z, self.n)
-        nrm = np.multiply(z[..., 0], z[..., 0], out=np.empty(z.shape[:-1]))
-        for i in range(1, self.n):
-            nrm += z[..., i] * z[..., i]
+        nrm = _plane_sum(z, np.square)
         np.sqrt(nrm, out=nrm)
         np.maximum(nrm, 1.0, out=nrm)
         return np.divide(z, nrm[..., None], out=out)
@@ -221,7 +237,7 @@ class PowerFourAnisotropy(AnisotropyModel):
 
     def eval(self, p):
         p = _as_points(p, self.n)
-        return np.sum(p**4, axis=-1) ** 0.25
+        return _plane_sum(p, _fourth) ** 0.25
 
     def grad(self, p):
         p = _as_points(p, self.n)
@@ -297,6 +313,54 @@ def k_operator(W: AnisotropyModel, p, X) -> float:
     return float(np.sum(H * X))
 
 
+@functools.lru_cache(maxsize=64)
+def _quadrature_table(n, m, k):
+    """The W_m quadrature of dimension n, index m and k midpoints an axis:
+    (nodes, fd_step, node offsets and value weights, node offsets and
+    derivative weights).  It does not depend on the base density, so
+    every MollifiedAnisotropy of one (n, m) shares one read-only table,
+    built on first use."""
+    # midpoint nodes of [-1, 1] and an outer ring where the bump is 0
+    t = (np.arange(-1, k + 1) + 0.5) / k * 2.0 - 1.0
+    mesh = np.meshgrid(*([t] * n), indexing="ij")
+    r = np.stack([mm.ravel() for mm in mesh], axis=-1)  # unit-ball coords
+    kappa = bump(np.sum(r**2, axis=-1))
+    w = kappa / kappa[kappa > 0].sum()            # value weights, sum 1
+    # finite-difference step equal to the quadrature lattice spacing:
+    # differences of the sampled convolution then act as differences
+    # of the bump weights (precomputed below, one weighted sum a call),
+    # so the kinks of the base density cancel and convexity
+    # (nonnegative second differences) is inherited
+    s = 2.0 / (m * k)
+
+    def shifted(d):  # weight at node y + d for every node y
+        return np.roll(w.reshape((k + 2,) * n), -d, range(n)).ravel()
+
+    E = np.eye(n, dtype=int)
+    G = np.stack([shifted(a) - shifted(-a) for a in E], -1) / (2 * s)
+    H = np.stack([np.stack([
+        (shifted(a) - 2 * w + shifted(-a)) / s**2 if i == j
+        else (shifted(a + b) + shifted(-a - b)
+              - (shifted(a - b) + shifted(b - a))) / (4 * s**2)
+        for j, b in enumerate(E)], -1) for i, a in enumerate(E)], 1)
+
+    def nonzero(v):  # offsets r / m and weights of the nodes where v != 0
+        on = np.any(v.reshape(len(r), -1) != 0, axis=1)
+        return r[on] / m, v[on]
+
+    nodes, w_val = nonzero(w)
+    # one derivative table on the hessian's nodes, which include the
+    # gradient's: n gradient and then n*n hessian weight columns, each
+    # one contiguous row of a (columns, nodes) block
+    y_der, dw = nonzero(np.concatenate([G, H.reshape(len(r), n * n)], axis=1))
+    dw = np.ascontiguousarray(dw.T)
+    # node coordinates component-first, (n, 1, nodes), for _quad
+    y_val, y_der = (y.T[:, None, :].copy() for y in (nodes, y_der))
+    for a in (nodes, w_val, dw, y_val, y_der):
+        a.setflags(write=False)
+    return nodes, s, y_val, (w_val,), y_der, tuple(dw)
+
+
 class MollifiedAnisotropy:
     """W_m = W * phi_(1/m) + |p|^2/m via fixed tensor-midpoint quadrature.
 
@@ -318,48 +382,10 @@ class MollifiedAnisotropy:
             raise ValueError(f"mollification index must be >= 1, got {m}")
         self.base = base
         self.m = float(m)
-        self.n = n = base.n
-        k = self.QUAD_POINTS
-        # midpoint nodes of [-1, 1] and an outer ring where the bump is 0
-        t = (np.arange(-1, k + 1) + 0.5) / k * 2.0 - 1.0
-        mesh = np.meshgrid(*([t] * n), indexing="ij")
-        r = np.stack([mm.ravel() for mm in mesh], axis=-1)  # unit-ball coords
-        kappa = bump(np.sum(r**2, axis=-1))
-        w = kappa / kappa[kappa > 0].sum()            # value weights, sum 1
-        # finite-difference step equal to the quadrature lattice spacing:
-        # differences of the sampled convolution then act as differences
-        # of the bump weights (precomputed below, one weighted sum a call),
-        # so the kinks of the base density cancel and convexity
-        # (nonnegative second differences) is inherited
-        self.fd_step = s = 2.0 / (self.m * k)
-
-        def shifted(d):  # weight at node y + d for every node y
-            return np.roll(w.reshape((k + 2,) * n), -d, range(n)).ravel()
-
-        E = np.eye(n, dtype=int)
-        G = np.stack([shifted(a) - shifted(-a) for a in E], -1) / (2 * s)
-        H = np.stack([np.stack([
-            (shifted(a) - 2 * w + shifted(-a)) / s**2 if i == j
-            else (shifted(a + b) + shifted(-a - b)
-                  - (shifted(a - b) + shifted(b - a))) / (4 * s**2)
-            for j, b in enumerate(E)], -1) for i, a in enumerate(E)], 1)
-
-        def nonzero(v):  # offsets r / m and weights of the nodes where v != 0
-            on = np.any(v.reshape(len(r), -1) != 0, axis=1)
-            return r[on] / self.m, v[on]
-
-        self.nodes, w_val = nonzero(w)
-        # one derivative table on the hessian's nodes, which include the
-        # gradient's: n gradient and then n*n hessian weight columns, each
-        # a column view of the row-major (nodes, n) or (nodes, n*n) block;
-        # that layout sets the order in which numpy sums a column
-        y_der, dw = nonzero(np.concatenate(
-            [G, H.reshape(len(r), n * n)], axis=1))
-        self._dw = tuple(dw[:, :n].copy().T) + tuple(dw[:, n:].copy().T)
-        self._w_val = (w_val,)
-        # node coordinates component-first, (n, 1, nodes), for _quad
-        self._y_val, self._y_der = (y.T[:, None, :].copy()
-                                    for y in (self.nodes, y_der))
+        self.n = base.n
+        # read-only views of the table every density of this (n, m) shares
+        (self.nodes, self.fd_step, self._y_val, self._w_val, self._y_der,
+         self._dw) = _quadrature_table(self.n, self.m, self.QUAD_POINTS)
         self._a_m = None
 
     def _quad(self, p, y, cols):

@@ -143,7 +143,7 @@ def parse_config(text: str) -> dict:
         if full["anisotropy.model"] != "elliptic":
             raise SchemaError("anisotropy.diag needs anisotropy.model = "
                               "elliptic")
-        _diag(full)
+        full["anisotropy.diag"] = _diag(full)
     if full["check.peak-law"] and (full["grid.n"] != 1
                                    or full["init.kind"] != "tent"):
         raise SchemaError("check.peak-law is a 1D tent law: it needs "
@@ -178,7 +178,8 @@ def _dimension(cfg):
 
 
 def _diag(cfg):
-    """anisotropy.diag as one positive finite float per dimension."""
+    """anisotropy.diag as one positive finite float per dimension; the
+    parsed config holds this list."""
     n = _dimension(cfg)
     try:
         diag = [float(v) for v in cfg["anisotropy.diag"].split(",")]
@@ -191,7 +192,8 @@ def _diag(cfg):
 
 
 def _build_anisotropy(cfg):
-    params = {"diag": _diag(cfg)} if "anisotropy.diag" in cfg else {}
+    params = ({"diag": cfg["anisotropy.diag"]} if "anisotropy.diag" in cfg
+              else {})
     return make_anisotropy(cfg["anisotropy.model"], _dimension(cfg), params)
 
 
@@ -224,7 +226,8 @@ def _wulff_radius(W, grid: Grid) -> np.ndarray:
     return W.gauge(grid.coords() - 0.5)
 
 
-def _build_initial(cfg, grid: Grid, rng) -> GridFunction:
+def _build_initial(cfg, grid: Grid, rng, W) -> GridFunction:
+    """The init.* datum on grid; a disk is a Wulff ball of the model W."""
     kind = cfg["init.kind"]
     if kind == "constant":
         return GridFunction.constant(grid, cfg["init.level"])
@@ -238,11 +241,21 @@ def _build_initial(cfg, grid: Grid, rng) -> GridFunction:
             v = v * np.sin(2 * np.pi * c[..., i])
         return GridFunction(grid, cfg["init.amplitude"] * v)
     if kind == "disk":
-        # the Wulff ball of the run's model, a Euclidean disk for euclidean
-        depth = cfg["init.radius"] - _wulff_radius(_build_anisotropy(cfg), grid)
-        delta = cfg["init.amplitude"]
-        return GridFunction(grid, np.clip(depth + delta, 0.0, delta))
-    # random-smooth: band-limited noise, normalized amplitude
+        return _disk(cfg, grid, _wulff_radius(W, grid))
+    return _random_smooth(cfg, grid, rng)
+
+
+def _disk(cfg, grid: Grid, radius) -> GridFunction:
+    """init.amplitude on the ball of Wulff radius init.radius, falling
+    with unit slope in the radius to 0 outside it (a Euclidean disk for
+    euclidean)."""
+    delta = cfg["init.amplitude"]
+    return GridFunction(grid, np.clip(cfg["init.radius"] - radius + delta,
+                                      0.0, delta))
+
+
+def _random_smooth(cfg, grid: Grid, rng) -> GridFunction:
+    """Band-limited noise of amplitude init.amplitude."""
     v = ndimage.gaussian_filter(rng.standard_normal(grid.shape),
                                 max(2.0, grid.N / 24), mode="wrap")
     v = v / max(np.max(np.abs(v)), 1e-12)
@@ -251,9 +264,8 @@ def _build_initial(cfg, grid: Grid, rng) -> GridFunction:
 
 def _ordered_pair(cfg, grid: Grid, rng, pad: float):
     """Random-smooth lo and hi = lo + pad + |bump| for a random-smooth bump."""
-    smooth = dict(cfg, **{"init.kind": "random-smooth"})
-    lo = _build_initial(smooth, grid, rng)
-    bump = _build_initial(smooth, grid, rng)
+    lo = _random_smooth(cfg, grid, rng)
+    bump = _random_smooth(cfg, grid, rng)
     return lo, GridFunction(grid, lo.values + pad + np.abs(bump.values))
 
 
@@ -359,7 +371,7 @@ def _tent_measurements(psi, psi_a, slope):
 def _scenario_resolvent(cfg, out, man, rng):
     grid = Grid(cfg["grid.n"], cfg["grid.N"])
     W = _build_anisotropy(cfg)
-    psi = _build_initial(cfg, grid, rng)
+    psi = _build_initial(cfg, grid, rng, W)
     a = cfg["resolvent.a"]
     rc = ResolventConfig(a=a, **_resolvent_kw(cfg))
     psi_a, _z, rep = resolve_singular(psi, W, rc)
@@ -383,17 +395,19 @@ def _scenario_resolvent(cfg, out, man, rng):
 def _scenario_curvature(cfg, out, man, rng):
     grid = Grid(cfg["grid.n"], cfg["grid.N"])
     W = _build_anisotropy(cfg)
-    psi = _build_initial(cfg, grid, rng)
     a = cfg["curvature.a"]
     disk = cfg["init.kind"] == "disk" and grid.n == 2
     if disk:
         R = cfg["init.radius"]
-        delta = cfg["init.amplitude"]
+        radius = _wulff_radius(W, grid)
+        psi = _disk(cfg, grid, radius)
         # average over the eroded facet {psi = max}, inside the Wulff ball
         # of radius R, whose curvature is -2/R for every model
-        facet = _wulff_radius(W, grid) <= R - delta - 4 * grid.h
+        facet = radius <= R - cfg["init.amplitude"] - 4 * grid.h
         if not np.any(facet):
             raise SchemaError("init.radius leaves the disk no facet node")
+    else:
+        psi = _build_initial(cfg, grid, rng, W)
     lam, rep = curvature_dq(psi, W, a, **_resolvent_kw(cfg))
     write_snapshot(out / "input.grid", psi, 0.0)
     write_snapshot(out / "curvature.grid", lam, 0.0)
@@ -453,7 +467,7 @@ def _explicit_setup(cfg, record_every):
 
 def _scenario_evolve(cfg, out, man, rng):
     grid, W_m, speed, ec = _explicit_setup(cfg, cfg["evolve.record-every"])
-    u0 = _build_initial(cfg, grid, rng)
+    u0 = _build_initial(cfg, grid, rng, W_m.base)
     trace = evolve(u0, W_m, speed, ec)
     write_snapshot(out / "initial.grid", u0, 0.0)
     write_snapshot(out / "final.grid", trace.final(), trace.times[-1])
@@ -516,13 +530,16 @@ def _scenario_barrier(cfg, out, man, rng):
         man.check(stage, False, -1.0, str(e))
         write_series(out / "series.csv", ["time"], [(0.0,)])
         return
+    prov = fam.provenance
     man.check("barrier-bounds", True, 1.0,
-              f"beta={fmt(fam.beta)} Lm_max={fmt(fam.provenance['Lm_max'])}")
+              f"beta={fmt(fam.beta)} Lm_max={fmt(prov['Lm_max'])} "
+              f"stalled={prov['stalled']}")
     # supersolution residual of phi(x,t) = beta t + W*(x): residual =
     # beta + F(grad W*, L_m W*) >= beta - sup|F| >= 1 by construction
     xs = rng.normal(scale=1.0, size=(samples, W.n))
-    _v, p, Hc = fam.conjugate(xs, with_derivatives=True)
-    Lm = np.einsum("kij,kji->k", fam.W_m.hess(p), Hc)
+    sol = fam.conjugate(xs, with_derivatives=True)
+    _v, p, _Hc = sol
+    Lm = sol.Lm
     resid = fam.beta + np.asarray(speed(p, Lm))
     man.check("supersolution-residual", float(np.min(resid)) >= -1e-6,
               float(np.min(resid)) + 1e-6,

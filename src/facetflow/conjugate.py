@@ -176,24 +176,25 @@ class BarrierFamily:
         return out
 
     def _capped_grad_hess(self, p):
+        """Gradient and Hessian of the capped density at p, and Hess W_m(p),
+        from one sampling of the W_m derivative table."""
         g, H = self.W_m.hess(p, with_grad=True)
         return (self.A * (g + cap_grad(p / self.q)),
-                self.A * (H + cap_hess(p / self.q) / self.q))
+                self.A * (H + cap_hess(p / self.q) / self.q), H)
 
-    def conjugate(self, x, with_derivatives=False):
-        """Exact-pointwise conjugate by concave maximization over |p| < q.
+    def _newton(self, x):
+        """Maximizer p of x.p - capped(p) for each row of x, |p| < q.
 
         Solves grad of the capped density = x by damped Newton; the cap
         keeps iterates strictly inside the ball.  Vectorized over points.
         """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
         B = x.shape[0]
         p = np.zeros((B, self.n))
-        tol = 1e-11 * (1.0 + np.max(np.abs(x)))
-        obj = -self.capped(p)       # the objective x.p - capped(p) at p = 0
+        tol = _newton_tol(x)
+        obj = np.zeros(B)           # the objective x.p - capped(p) at p = 0
         active = np.arange(B)
         for _ in range(80):
-            g, H = self._capped_grad_hess(p[active])
+            g, H, _Hm = self._capped_grad_hess(p[active])
             resid = x[active] - g
             rn = np.sqrt(np.sum(resid**2, axis=-1))
             live = rn >= tol
@@ -232,18 +233,49 @@ class BarrierFamily:
             active = active[moved > 1e-13 * self.q]
             if active.size == 0:
                 break
+        return p
+
+    def conjugate(self, x, with_derivatives=False):
+        """Exact-pointwise conjugate by concave maximization over |p| < q.
+
+        Returns its values or, when with_derivatives is true, a
+        ConjugateSolution: the triple (values, maximizers p = grad
+        conj(x), conjugate Hessians), which also carries Hess W_m at p
+        and the final Newton residuals, all from one W_m.hess call.
+        """
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        p = self._newton(x)
         val = np.sum(x * p, axis=-1) - self.capped(p)
         if not with_derivatives:
             return val
-        g, H = self._capped_grad_hess(p)
-        hess_conj = np.linalg.inv(H)
-        return val, p, hess_conj
+        g, H, Hm = self._capped_grad_hess(p)
+        return ConjugateSolution(val, p, np.linalg.inv(H), Hm,
+                                 np.sqrt(np.sum((x - g)**2, axis=-1)))
 
     def operator_Lm(self, x):
         """trace[Hess(W_m)(grad conj)(x) Hess(conj)(x)] at sampled x."""
-        _, p, Hc = self.conjugate(x, with_derivatives=True)
-        Hm = self.W_m.hess(p)
-        return np.einsum("...ij,...ji->...", Hm, Hc)
+        return self.conjugate(x, with_derivatives=True).Lm
+
+
+def _newton_tol(x):
+    """Residual |x - grad capped(p)| at which the conjugate Newton stops."""
+    return 1e-11 * (1.0 + np.max(np.abs(x)))
+
+
+class ConjugateSolution(tuple):
+    """The triple (val, p, Hc) of one conjugate solve, with Hess W_m at
+    the maximizers (Hm) and the final Newton residuals |x - grad
+    capped(p)| (resid) as attributes."""
+
+    def __new__(cls, val, p, Hc, Hm, resid):
+        sol = super().__new__(cls, (val, p, Hc))
+        sol.Hm, sol.resid = Hm, resid
+        return sol
+
+    @property
+    def Lm(self):
+        """trace[Hess W_m(p) Hc], the operator L_m at each point."""
+        return np.einsum("...ij,...ji->...", self.Hm, self[2])
 
 
 def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
@@ -256,19 +288,20 @@ def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
     fam = BarrierFamily(W_m=W_m, A=float(A), q=float(q))
     rng = np.random.default_rng(7)
     xs = rng.normal(scale=max(1.0, q * A), size=(n_check, W.n))
-    val, p, Hc = fam.conjugate(xs, with_derivatives=True)
+    sol = fam.conjugate(xs, with_derivatives=True)
+    _val, p, Hc = sol
     gn = np.sqrt(np.sum(p**2, axis=-1))
     if np.any(gn >= q):
         raise BarrierConstructionError("conjugate gradient bound violated",
                                        worst=xs[int(np.argmax(gn))])
-    Lm = np.einsum("...ij,...ji->...", W_m.hess(p), Hc)
+    Lm = sol.Lm
     bad = (Lm <= 0) | (Lm > W.n / A + tol)
     if np.any(bad):
         raise BarrierConstructionError("operator bound violated",
                                        worst=xs[int(np.argmax(bad))])
     # the conjugate Hessian must invert the capped-density Hessian at the
     # conjugate gradient; verify against a centered difference of that
-    # gradient.
+    # gradient, all 2n shifted copies of the points in one solve.
     # Inside the mollification core |p| <= 1/m the quadrature value is only
     # Lipschitz, so the identity is checked where the density is smooth.
     core = 1.0 / W_m.m + 2 * W_m.fd_step
@@ -277,16 +310,13 @@ def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
     if idx.size:
         xh = xs[idx]
         eps = 1e-5 * max(1.0, float(np.max(np.abs(xh))))
-        hess_err = 0.0
-        for i in range(W.n):
-            e = np.zeros(W.n)
-            e[i] = eps
-            _, pp, _ = fam.conjugate(xh + e, with_derivatives=True)
-            _, pm, _ = fam.conjugate(xh - e, with_derivatives=True)
-            col = (pp - pm) / (2 * eps)
-            hess_err = max(hess_err,
-                           float(np.max(np.abs(col - Hc[idx, :, i])
-                                        / (1.0 + np.abs(col)))))
+        shifts = np.concatenate([np.eye(W.n), -np.eye(W.n)]) * eps
+        _, ps, _ = fam.conjugate((xh + shifts[:, None]).reshape(-1, W.n),
+                                 with_derivatives=True)
+        pp, pm = ps.reshape(2, W.n, idx.size, W.n)
+        # col[j, a, i]: centred difference of p_a along x_i at point j
+        col = (pp - pm).transpose(1, 2, 0) / (2 * eps)
+        hess_err = float(np.max(np.abs(col - Hc[idx]) / (1.0 + np.abs(col))))
         if hess_err > 1e-3:
             raise BarrierConstructionError(
                 f"conjugate Hessian disagrees with finite differences "
@@ -294,6 +324,8 @@ def build_barrier(m, A, q, W: AnisotropyModel, speed=None,
         fam.provenance["hess_fd_err"] = hess_err
     fam.provenance.update({"n_check": n_check, "tol": tol,
                            "Lm_max": float(np.max(Lm)),
+                           "stalled": int(np.sum(sol.resid
+                                                 >= _newton_tol(xs))),
                            "grad_max": float(np.max(gn))})
     if speed is not None:
         fam.beta = beta_Aq(speed, A, q, n=W.n)
@@ -327,11 +359,17 @@ def choose_parameters(delta, K, W: AnisotropyModel, n_verify: int = 1000):
     mu = float(np.max(W.eval(half) + cap_function(half)))
     A = delta / (8.0 * mu)
     q = 8.0 * K / delta
+    pts = (q / 2.0) * dirs
+    # Jensen: the node weights sum to one around a symmetric lattice, so
+    # W_m(p) - W_m(0) - W(p) >= |p|^2/m - W_m(0); an m whose bound already
+    # exceeds q mu fails the sampled check below and is skipped unsampled
+    jensen = np.max(np.sum(pts**2, axis=-1))
     for e in range(17):
         m0 = 2.0**e
         W_m = MollifiedAnisotropy(W, m0)
-        pts = (q / 2.0) * dirs
         w0 = float(W_m.eval(np.zeros((1, W.n)))[0])
+        if jensen / m0 - w0 > q * mu * (1.0 + 1e-9):
+            continue
         gap = np.max(np.abs(W_m.eval(pts) - w0 - W.eval(pts)))
         if gap <= q * mu:
             break

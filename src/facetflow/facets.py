@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .grid import (Grid, GridFunction, GridVectorField, backward_divergence,
-                   dilate_cells, gradient_centered, mollify)
+from .grid import (Grid, GridFunction, GridVectorField, dilate_cells,
+                   gradient_centered, mollify)
 
 _CERT_TOL = 5e-2    # distance of z from dW(grad psi) a certificate tolerates
 
@@ -288,7 +288,7 @@ def support_from_smooth_pair(pair: PairOfSets,
 
 
 def admissibility_check(cert: SupportFunctionCertificate, W) -> dict:
-    """Node-wise audit of z in dW(grad psi) plus a divergence bound.
+    """Node-wise audit of z in dW(grad psi): the fraction of defect nodes.
 
     The ramps of a support function built from distance functions have
     unit slope almost everywhere, so any node whose centered gradient
@@ -311,16 +311,7 @@ def admissibility_check(cert: SupportFunctionCertificate, W) -> dict:
     sloped_ok = ch_dist <= _CERT_TOL
 
     ok = np.where(sloped, sloped_ok, flat_ok)
-    div = backward_divergence(cert.z.values, g.h)
-    worst = int(np.argmin(ok * 1.0 - (~ok) * ch_dist))
-    return {
-        "defect_fraction": float(np.mean(~ok)),
-        "n_defects": int(np.sum(~ok)),
-        "sloped_fraction": float(np.mean(sloped)),
-        "max_divergence": float(np.max(np.abs(div))),
-        "worst_node": np.unravel_index(worst, g.shape),
-        "tol": _CERT_TOL,
-    }
+    return {"defect_fraction": float(np.mean(~ok))}
 
 
 def ordered_support_function(theta_usc: GridFunction, H: PairOfSets,

@@ -1,5 +1,8 @@
 """Surface-energy densities: identities, duality, and mollification."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -287,6 +290,49 @@ def test_mollified_kernel_matches_node_loop(name, n, m):
             scale += np.abs(term)
         got = W_m._quad(p, y, cols)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_mollified_tables_shared_read_only_and_small():
+    """Densities of one (n, m) share one read-only quadrature table, so
+    twenty more of them hold almost no memory."""
+    a = MollifiedAnisotropy(EuclideanAnisotropy(2), 16.0)
+    b = MollifiedAnisotropy(PowerFourAnisotropy(2), 16)
+    for name in ("nodes", "_y_val", "_y_der"):
+        assert getattr(a, name) is getattr(b, name)
+    assert a._dw is b._dw and a._w_val is b._w_val
+    assert MollifiedAnisotropy(EuclideanAnisotropy(2), 8.0).nodes is not a.nodes
+    for arr in (a.nodes, a._y_val, a._y_der, a._w_val[0], *a._dw):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    W = EuclideanAnisotropy(2)
+    kept = [MollifiedAnisotropy(W, 16)]        # fills the table if need be
+    tracemalloc.start()
+    try:
+        kept += [MollifiedAnisotropy(W, 16) for _ in range(20)]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 21 and held < 0.2 * 2**20, held
+
+
+def test_no_quadrature_table_is_built_at_import():
+    code = ("import facetflow, facetflow.anisotropy as a; "
+            "print(a._quadrature_table.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "0"
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_l4_eval_is_the_fourth_root_of_the_fourth_powers(n):
+    """Two squarings instead of the general power keep l4 within 4 ulp
+    of (sum_i p_i^4)^(1/4)."""
+    p = np.random.default_rng(4).normal(size=(2000, n)) * np.logspace(
+        -3, 3, 2000)[:, None]
+    want = np.sum(p**4, axis=-1) ** 0.25
+    got = PowerFourAnisotropy(n).eval(p)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
 
 
 def test_mollified_am_positive_and_growing():

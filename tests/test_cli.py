@@ -17,6 +17,8 @@ import facetflow.cli
 from facetflow.cli import (SCENARIO_KINDS, SchemaError, TEMPLATES, _SCHEMA,
                            fmt, main, parse_config, read_snapshot,
                            write_snapshot)
+from facetflow.anisotropy import EuclideanAnisotropy
+from facetflow.conjugate import build_barrier, choose_parameters
 from facetflow.grid import Grid, GridFunction
 
 FLOAT_KEYS = sorted(k for k, row in _SCHEMA.items() if row[0] is float)
@@ -400,6 +402,21 @@ def test_run_flat_support_fails_faceted_signs(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 4
     assert "check faceted-test-signs: FAIL" in (out / "manifest.txt").read_text()
+
+
+def test_run_barrier_reports_stalled_points(tmp_path):
+    """The barrier-bounds note counts build_barrier's points whose
+    conjugate Newton ends at or above its residual tolerance."""
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text(TINY_RUNS["barrier"][0])
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 0
+    note = [line for line in (out / "manifest.txt").read_text().splitlines()
+            if line.startswith("check barrier-bounds:")][0]
+    W = EuclideanAnisotropy(1)
+    m0, A, q, _mu = choose_parameters(0.5, 2.0, W, n_verify=20)
+    fam = build_barrier(m0, A, q, W, n_check=20)
+    assert f"stalled={fam.provenance['stalled']})" in note
 
 
 def test_run_resolvent_template(tmp_path):

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from facetflow.anisotropy import EuclideanAnisotropy
+from facetflow.anisotropy import (EuclideanAnisotropy, MollifiedAnisotropy,
+                                  make_anisotropy)
 from facetflow.conjugate import (BarrierFamily, ParameterError,
                                  SampledConvexFunction, beta_Aq, build_barrier,
-                                 cap_function, choose_parameters,
+                                 cap_function, cap_grad, choose_parameters,
                                  legendre_transform)
 from facetflow.evolution import SpeedLaw
 
@@ -148,3 +150,93 @@ def test_choose_parameters_rejects_impossible_demand():
     W = EuclideanAnisotropy(2)
     with pytest.raises((ParameterError, ValueError)):
         choose_parameters(-1.0, 2.0, W)
+
+
+def _sampled_parameters(delta, K, W):
+    """(m0, A, q, mu) with W_m sampled on every direction for every m of
+    the doubling, as choose_parameters did before it skipped the m that
+    the Jensen bound rules out."""
+    if W.n == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    else:
+        th = np.linspace(0, 2 * np.pi, 2048, endpoint=False)
+        dirs = np.stack([np.cos(th), np.sin(th)], axis=-1)
+    half = 0.5 * dirs
+    mu = float(np.max(W.eval(half) + cap_function(half)))
+    A = delta / (8.0 * mu)
+    q = 8.0 * K / delta
+    for e in range(17):
+        m0 = 2.0**e
+        W_m = MollifiedAnisotropy(W, m0)
+        pts = (q / 2.0) * dirs
+        w0 = float(W_m.eval(np.zeros((1, W.n)))[0])
+        if np.max(np.abs(W_m.eval(pts) - w0 - W.eval(pts))) <= q * mu:
+            return m0, A, q, mu
+    raise ParameterError("no m0 found up to m = 2^16")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["euclidean", "elliptic", "l4"]),
+       n=st.sampled_from([1, 2]), delta=st.floats(0.05, 2.0),
+       K=st.floats(0.05, 4.0))
+@example(name="euclidean", n=2, delta=1.0, K=0.1)      # m0 = 1
+@example(name="l4", n=1, delta=2.0, K=0.05)            # m0 = 1
+@example(name="elliptic", n=2, delta=0.1, K=3.0)       # m0 = 64
+@example(name="euclidean", n=1, delta=0.05, K=4.0)     # m0 = 256
+def test_choose_parameters_matches_sampling_every_m(name, n, delta, K):
+    """Skipping the m the Jensen bound rejects changes no bit of
+    (m0, A, q, mu)."""
+    W = make_anisotropy(name, n)
+    want = _sampled_parameters(delta, K, W)
+    assert choose_parameters(delta, K, W, n_verify=20) == want
+
+
+def test_choose_parameters_samples_only_the_accepted_m(monkeypatch):
+    """m = 1, 2, 4, 8 fail the Jensen bound for the default 2D constants,
+    so only m0 = 16 is sampled on the 2048 directions."""
+    sizes = []
+    eval_ = MollifiedAnisotropy.eval
+
+    def counted(self, p):
+        sizes.append(np.shape(p)[0])
+        return eval_(self, p)
+
+    monkeypatch.setattr(MollifiedAnisotropy, "eval", counted)
+    m0, *_ = choose_parameters(0.5, 2.0, EuclideanAnisotropy(2), n_verify=100)
+    assert m0 == 16.0
+    assert sizes.count(2048) == 1
+
+
+def test_build_barrier_checks_the_hessian_in_one_conjugate_call(monkeypatch):
+    """One solve for the sample, one for all 2n shifted copies of the
+    Hessian check's points; the stalled count comes from the first."""
+    sizes = []
+    conjugate = BarrierFamily.conjugate
+
+    def counted(self, x, with_derivatives=False):
+        sizes.append(len(x))
+        return conjugate(self, x, with_derivatives)
+
+    monkeypatch.setattr(BarrierFamily, "conjugate", counted)
+    fam = build_barrier(16.0, 0.05, 8.0, EuclideanAnisotropy(2), n_check=50)
+    assert sizes[0] == 50 and len(sizes) == 2
+    assert sizes[1] % 4 == 0 and 0 < sizes[1] <= 4 * 24
+    assert "hess_fd_err" in fam.provenance
+    assert 0 <= fam.provenance["stalled"] <= 50
+
+
+def test_conjugate_reports_the_residual_and_Lm_of_its_solve():
+    """The solution carries Hess W_m at p and the Newton residuals; L_m
+    taken from it equals the one from a second W_m.hess call."""
+    W = EuclideanAnisotropy(2)
+    fam = build_barrier(16.0, 0.05, 8.0, W, n_check=50)
+    xs = np.random.default_rng(7).normal(size=(100, 2))
+    sol = fam.conjugate(xs, with_derivatives=True)
+    val, p, Hc = sol
+    assert np.array_equal(val, fam.conjugate(xs))
+    assert np.array_equal(sol.Hm, fam.W_m.hess(p))
+    assert np.array_equal(sol.Lm, np.einsum("kij,kji->k", sol.Hm, Hc))
+    assert np.array_equal(fam.operator_Lm(xs), sol.Lm)
+    g, _H = fam.W_m.hess(p, with_grad=True)
+    want = np.linalg.norm(xs - fam.A * (g + cap_grad(p / fam.q)), axis=-1)
+    assert np.array_equal(sol.resid, want)
