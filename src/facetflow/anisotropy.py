@@ -317,9 +317,10 @@ def k_operator(W: AnisotropyModel, p, X) -> float:
 def _quadrature_table(n, m, k):
     """The W_m quadrature of dimension n, index m and k midpoints an axis:
     (nodes, fd_step, node offsets and value weights, node offsets and
-    derivative weights).  It does not depend on the base density, so
-    every MollifiedAnisotropy of one (n, m) shares one read-only table,
-    built on first use."""
+    derivative weights, and in 1D the running sums of the breakpoint
+    table).  It does not depend on the base density, so every
+    MollifiedAnisotropy of one (n, m) shares one read-only table, built
+    on first use."""
     # midpoint nodes of [-1, 1] and an outer ring where the bump is 0
     t = (np.arange(-1, k + 1) + 0.5) / k * 2.0 - 1.0
     mesh = np.meshgrid(*([t] * n), indexing="ij")
@@ -354,28 +355,42 @@ def _quadrature_table(n, m, k):
     # one contiguous row of a (columns, nodes) block
     y_der, dw = nonzero(np.concatenate([G, H.reshape(len(r), n * n)], axis=1))
     dw = np.ascontiguousarray(dw.T)
-    # node coordinates component-first, (n, 1, nodes), for _quad
+    # node coordinates component-first, (n, 1, nodes), for _lattice
     y_val, y_der = (y.T[:, None, :].copy() for y in (nodes, y_der))
-    for a in (nodes, w_val, dw, y_val, y_der):
+    sums = ()
+    if n == 1:
+        # every lattice node y_j in increasing order, and for i = 0 ..
+        # nodes the sums over j < i of c_j and of c_j y_j, for the value,
+        # gradient and hessian columns c
+        y = r[:, 0] / m
+        c = np.stack([w, G[:, 0], H[:, 0, 0]], axis=-1)
+        sums = (y,) + tuple(np.concatenate([np.zeros((1, 3)), np.cumsum(
+            v, axis=0)]) for v in (c, c * y[:, None]))
+    for a in (nodes, w_val, dw, y_val, y_der) + sums:
         a.setflags(write=False)
-    return nodes, s, y_val, (w_val,), y_der, tuple(dw)
+    return nodes, s, y_val, (w_val,), y_der, tuple(dw), sums
 
 
 class MollifiedAnisotropy:
     """W_m = W * phi_(1/m) + |p|^2/m via fixed tensor-midpoint quadrature.
 
-    Only values of W are ever sampled, so the origin singularity never
-    enters.  The discrete convolution weights are normalized to sum to
-    one, which makes the Jensen lower bound W_m >= W + |p|^2/m exact.
-    The gradient and hessian are centered differences of the quadrature
-    value at the lattice spacing (the four-point stencil off the
-    diagonal), not its derivatives: inside the core |p| < 1/m the value
-    is only piecewise smooth, and in 2D the differences also carry an
-    O(spacing^2) error outside it.
+    The convolution is the weighted sum sum_j W(p - y_j) w_j over the
+    bump lattice, with weights normalized to sum to one, which makes the
+    Jensen lower bound W_m >= W + |p|^2/m exact.  The gradient and
+    hessian are centered differences of that sum at the lattice spacing
+    (the four-point stencil off the diagonal), not its derivatives:
+    inside the core |p| < 1/m the value is only piecewise smooth, and in
+    2D the differences also carry an O(spacing^2) error outside it.
+
+    In 2D the sums sample W at every node, so the origin singularity
+    never enters.  In 1D every model is W(1) x+ + W(-1) x-, so each sum
+    is linear in p between consecutive nodes: W is sampled at +-1 once,
+    and a point's sums are the slope and intercept of its interval (the
+    breakpoint table), the same discrete function in O(1) a point.
     """
 
     QUAD_POINTS = 33
-    _TEMP_BYTES = 8 * 2**20  # temporaries one quadrature call may build
+    _TEMP_BYTES = 8 * 2**20  # temporaries one 2D quadrature call may build
 
     def __init__(self, base: AnisotropyModel, m: float):
         if m < 1:
@@ -385,10 +400,33 @@ class MollifiedAnisotropy:
         self.n = base.n
         # read-only views of the table every density of this (n, m) shares
         (self.nodes, self.fd_step, self._y_val, self._w_val, self._y_der,
-         self._dw) = _quadrature_table(self.n, self.m, self.QUAD_POINTS)
+         self._dw, sums) = _quadrature_table(self.n, self.m, self.QUAD_POINTS)
+        # weight columns: value, n gradient, n*n hessian
+        self._cols = self._w_val + self._dw
+        if self.n == 1:
+            # between nodes i-1 and i the sum is W(1) sum_{j<i} c_j (p - y_j)
+            # + W(-1) sum_{j>=i} c_j (y_j - p), one slope and one intercept
+            # a column
+            self._knots, C, S = sums
+            up, down = base.eval(np.array([[1.0], [-1.0]]))
+            self._slope = up * C - down * (C[-1] - C)
+            self._icpt = down * (S[-1] - S) - up * S
         self._a_m = None
 
-    def _quad(self, p, y, cols):
+    def _quad(self, p, cols):
+        """sum_j W(p - y_j) c_j for each weight column c in the slice
+        cols, in the last axis."""
+        if self.n == 1:
+            x = p.reshape(-1, 1)
+            i = np.searchsorted(self._knots, x[:, 0], "right")
+            out = self._slope[i, cols] * x + self._icpt[i, cols]
+            return out.reshape(p.shape[:-1] + (out.shape[1],))
+        # the value column lives on the value nodes, the others on the
+        # hessian's
+        return self._lattice(p, self._y_der if cols.start else self._y_val,
+                             self._cols[cols])
+
+    def _lattice(self, p, y, cols):
         """sum_j W(p - y_j) c_j for each weight column c in cols, over
         chunks of points.  A chunk's differences are one C-ordered
         (n, points, nodes) array, read by the base model through a
@@ -407,20 +445,19 @@ class MollifiedAnisotropy:
 
     def eval(self, p):
         p = _as_points(p, self.n)
-        return (self._quad(p, self._y_val, self._w_val)[..., 0]
+        return (self._quad(p, slice(0, 1))[..., 0]
                 + np.sum(p**2, axis=-1) / self.m)
 
     def grad(self, p):
         p = _as_points(p, self.n)
-        return (self._quad(p, self._y_der, self._dw[:self.n])
-                + 2.0 * p / self.m)
+        return self._quad(p, slice(1, 1 + self.n)) + 2.0 * p / self.m
 
     def hess(self, p, with_grad=False):
         """Hessian, or (gradient, hessian) from one sampling of the
         derivative table when with_grad is true."""
         p = _as_points(p, self.n)
         n = self.n
-        d = self._quad(p, self._y_der, self._dw if with_grad else self._dw[n:])
+        d = self._quad(p, slice(1 if with_grad else 1 + n, None))
         H = (d[..., -n * n:].reshape(p.shape[:-1] + (n, n))
              + 2.0 * np.eye(n) / self.m)
         if with_grad:

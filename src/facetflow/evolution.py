@@ -14,6 +14,7 @@ survives discretization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -69,22 +70,42 @@ class EvolutionTrace:
     lipschitz: list = field(default_factory=list)
     dt: float = 0.0
     steps: int = 0
+    wall_s: float = 0.0         # wall-clock time of the run
 
-    def record(self, t, u: GridFunction):
+    def record(self, t, grid: Grid, values: np.ndarray):
+        """Keep a copy of the node array values as the state at time t;
+        GridFunction refuses a non-finite one."""
+        u = GridFunction(grid, values.copy())
         self.times.append(float(t))
-        self.states.append(u.copy())
+        self.states.append(u)
         self.lipschitz.append(lipschitz_constant(u))
 
     def final(self) -> GridFunction:
         return self.states[-1]
 
 
+def _divergence(v, h, W_m, gr=None, out=None) -> np.ndarray:
+    """div grad W_m(grad v) of a node array in conservative form (the
+    forward/backward pair), through the gradient buffer gr and into out
+    when they are given."""
+    gr = forward_gradient(v, h, out=gr)
+    flux = W_m.grad(gr.reshape(-1, v.ndim)).reshape(gr.shape)
+    return backward_divergence(flux, h, out=out)
+
+
+def _step(v, h, W_m, speed: SpeedLaw, dt: float, gr=None, div=None):
+    """One forward Euler step of the node array v, in place: v += dt (s L_m v
+    - c) for the law F = -s xi + c."""
+    div = _divergence(v, h, W_m, gr, div)
+    div *= speed.xi_scale
+    div -= speed.forcing
+    div *= dt
+    v += div
+
+
 def divergence_operator(u: GridFunction, W_m) -> np.ndarray:
     """div grad W_m(grad u) in conservative form (forward/backward pair)."""
-    g = u.grid
-    gr = forward_gradient(u.values, g.h)
-    flux = W_m.grad(gr.reshape(-1, g.n)).reshape(gr.shape)
-    return backward_divergence(flux, g.h)
+    return _divergence(u.values, u.grid.h, W_m)
 
 
 def step_explicit(u: GridFunction, W_m, speed: SpeedLaw, dt: float) -> GridFunction:
@@ -93,8 +114,9 @@ def step_explicit(u: GridFunction, W_m, speed: SpeedLaw, dt: float) -> GridFunct
     The step is taken in conservative (divergence) form, which tracks
     facet motion through the exact discrete flux balance.
     """
-    rate = speed.xi_scale * divergence_operator(u, W_m) - speed.forcing
-    return GridFunction(u.grid, u.values + dt * rate)
+    v = u.values.copy()
+    _step(v, u.grid.h, W_m, speed, dt)
+    return GridFunction(u.grid, v)
 
 
 def stable_dt(grid: Grid, W_m, speed: SpeedLaw, cfl: float) -> float:
@@ -122,25 +144,34 @@ def evolve(u0: GridFunction, W_m, speed: SpeedLaw,
            config: EvolutionConfig) -> EvolutionTrace:
     """Run the explicit scheme to t_end, monitoring the Lipschitz norm.
 
-    The Lipschitz seminorm of the solution must not grow (up to scheme
-    slack); a violation aborts the run since it signals instability.
+    The state, a gradient and a divergence buffer are allocated once and
+    every step updates them in place.  The Lipschitz seminorm of the
+    solution must not grow (up to scheme slack); a violation aborts the
+    run since it signals instability.  A non-finite state stays
+    non-finite, and it is refused (ValueError) at the next recorded
+    step, the last one at the latest.
     """
-    steps = int(step_count(u0.grid, W_m, speed, config))
+    t0 = perf_counter()
+    grid = u0.grid
+    steps = int(step_count(grid, W_m, speed, config))
     dt = config.t_end / steps
     trace = EvolutionTrace(dt=dt, steps=steps)
-    trace.record(0.0, u0)
+    v = u0.values.copy()
+    trace.record(0.0, grid, v)
     lip0 = trace.lipschitz[0]
     budget = _lipschitz_budget(lip0)
-    u = u0.copy()
+    gr = np.empty(v.shape + (v.ndim,))
+    div = np.empty_like(v)
     for k in range(1, steps + 1):
-        u = step_explicit(u, W_m, speed, dt)
+        _step(v, grid.h, W_m, speed, dt, gr, div)
         rec = config.record_every and (k % config.record_every == 0)
         if rec or k == steps:
-            trace.record(k * dt, u)
+            trace.record(k * dt, grid, v)
             if trace.lipschitz[-1] > budget:
                 raise StabilityError(
                     f"Lipschitz norm grew from {lip0:.6g} to "
                     f"{trace.lipschitz[-1]:.6g} at t={k * dt:.6g}")
+    trace.wall_s = perf_counter() - t0
     return trace
 
 

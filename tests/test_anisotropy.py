@@ -269,18 +269,28 @@ def test_mollified_memory_bounded_and_batch_independent():
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("m", [1.0, 8.0, 64.0])
 def test_mollified_kernel_matches_node_loop(name, n, m):
-    """The fused call equals grad and hess bit for bit, and the chunked
-    kernel equals sum_j W(p - y_j) w_j summed node by node."""
+    """The fused call equals grad and hess bit for bit, and the kernel
+    (the chunked lattice in 2D, the breakpoint table in 1D) equals
+    sum_j W(p - y_j) w_j summed node by node."""
     W_m = MollifiedAnisotropy(make_anisotropy(name, n), m)
     rng = np.random.default_rng(11)
     # 300 points span two chunks of the 2D kernel
     p = np.concatenate([rng.normal(size=(150, n)) / m,
                         rng.normal(size=(150, n)) * 2.0])
+    if n == 1:
+        # the breakpoints themselves, the origin and the far field
+        far = np.logspace(0, 6, 13)
+        p = np.concatenate([p, W_m._y_der[0].T, np.zeros((1, 1)),
+                            far[:, None], -far[:, None]])
+        huge = np.array([[1e300], [-1e300]])
+        assert np.all(np.isfinite(W_m.grad(huge)))
+        assert np.all(np.isfinite(W_m.hess(huge)))
     g, H = W_m.hess(p, with_grad=True)
     assert np.array_equal(g, W_m.grad(p))
     assert np.array_equal(H, W_m.hess(p))
     assert np.array_equal(W_m._y_val[:, 0, :].T, W_m.nodes)
-    for y, cols in ((W_m._y_val, W_m._w_val), (W_m._y_der, W_m._dw)):
+    for y, cols, which in ((W_m._y_val, W_m._w_val, slice(0, 1)),
+                           (W_m._y_der, W_m._dw, slice(1, None))):
         w = np.stack(cols, axis=-1)
         want = np.zeros((len(p), w.shape[1]))
         scale = np.zeros_like(want)
@@ -288,7 +298,7 @@ def test_mollified_kernel_matches_node_loop(name, n, m):
             term = W_m.base.eval(p - y[:, 0, j])[:, None] * w[j]
             want += term
             scale += np.abs(term)
-        got = W_m._quad(p, y, cols)
+        got = W_m._quad(p, which)
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 

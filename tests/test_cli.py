@@ -340,6 +340,11 @@ TINY_RUNS = {
                        ["lipschitz-bound", "peak-law"]),
     "compare": ("scenario = compare\ngrid.n = 1\ngrid.N = 16\nevolve.m = 4\n"
                 "compare.pairs = 1\n", ["no-crossing"]),
+    # the 1D W_m breakpoint table squares nothing, so data near 1e300
+    # still give finite, ordered states
+    "compare-huge": ("scenario = compare\ngrid.n = 1\ngrid.N = 16\n"
+                     "init.kind = sin\ninit.amplitude = 1e300\n",
+                     ["no-crossing"]),
     "barrier": ("scenario = barrier\ngrid.n = 1\nbarrier.samples = 20\n",
                 ["constant-A", "constant-q", "conjugate-lower-bound",
                  "barrier-bounds", "supersolution-residual"]),
@@ -353,6 +358,9 @@ TINY_RUNS = {
 # with the slow tier
 @pytest.mark.parametrize("name", SCENARIO_KINDS + (
     "resolvent-tent-2d", "monotonicity-negative", "evolve-forcing",
+    # the Lipschitz monitor squares gradients near 1e302 and overflows
+    pytest.param("compare-huge", marks=pytest.mark.filterwarnings(
+        "ignore::RuntimeWarning")),
     pytest.param("curvature-elliptic", marks=pytest.mark.slow),
     pytest.param("curvature-l4", marks=pytest.mark.slow)))
 def test_run_tiny_scenario_passes(tmp_path, name):
@@ -382,11 +390,13 @@ def test_run_uncertified_curvature_exits_3(tmp_path):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_overflowing_data_is_a_numerical_failure(tmp_path):
     """Data near the largest double overflow the solver and the explicit
-    scheme: exit 3 with a manifest, not a certified gap or a traceback."""
-    for scenario in ("resolvent", "compare"):
+    scheme: exit 3 with a manifest, not a certified gap or a traceback.
+    The explicit scheme needs 1e308, where the gradient of the data
+    overflows (at 1e300 it stays finite, see TINY_RUNS)."""
+    for scenario, amplitude in (("resolvent", "1e300"), ("compare", "1e308")):
         cfg = tmp_path / f"{scenario}.cfg"
         cfg.write_text(f"scenario = {scenario}\ngrid.n = 1\ngrid.N = 16\n"
-                       "init.kind = sin\ninit.amplitude = 1e300\n")
+                       f"init.kind = sin\ninit.amplitude = {amplitude}\n")
         out = tmp_path / scenario
         assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == 3
         assert "numerical-failure" in (out / "manifest.txt").read_text()

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from facetflow.anisotropy import EuclideanAnisotropy, MollifiedAnisotropy
+from facetflow.anisotropy import (EuclideanAnisotropy, MollifiedAnisotropy,
+                                  make_anisotropy)
 from facetflow.evolution import (EvolutionConfig, SpeedLaw, StabilityError,
                                  comparison_harness, divergence_operator,
                                  evolve, lipschitz_monitor,
                                  m_refinement_study, sample_state, stable_dt,
+                                 step_count, step_explicit,
                                  conventional_test_residual, tv_flow)
-from facetflow.grid import Grid, GridFunction, lipschitz_constant, mollify
+from facetflow.grid import (Grid, GridFunction, backward_divergence,
+                            forward_gradient, lipschitz_constant, mollify)
 
 
 def _tent(g, slope=0.5):
@@ -124,3 +128,68 @@ def test_conventional_test_residual_affine():
     law = SpeedLaw(2.0)
     r = conventional_test_residual(0.5, np.array([1.0]), 3.0, law)
     assert r == pytest.approx(0.5 - 6.0)
+
+
+def _oracle_step(u, W_m, speed, dt):
+    """One allocating forward Euler step, a new GridFunction a step: the
+    explicit step as it was before the in-place loop."""
+    h = u.grid.h
+    gr = forward_gradient(u.values, h)
+    flux = W_m.grad(gr.reshape(-1, u.grid.n)).reshape(gr.shape)
+    rate = speed.xi_scale * backward_divergence(flux, h) - speed.forcing
+    return GridFunction(u.grid, u.values + dt * rate)
+
+
+def _oracle_evolve(u0, W_m, speed, config):
+    """Recorded times and states of the allocating loop."""
+    steps = int(step_count(u0.grid, W_m, speed, config))
+    dt = config.t_end / steps
+    times, states = [0.0], [u0.copy()]
+    u = u0.copy()
+    for k in range(1, steps + 1):
+        u = _oracle_step(u, W_m, speed, dt)
+        if (config.record_every and k % config.record_every == 0) \
+                or k == steps:
+            times.append(k * dt)
+            states.append(u.copy())
+    return times, states
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([1, 2]),
+       name=st.sampled_from(["euclidean", "elliptic", "l4"]),
+       N=st.integers(8, 40), m=st.sampled_from([1.0, 4.0, 8.0, 16.0]),
+       scale=st.floats(0.5, 2.0),
+       forcing=st.sampled_from([-2.0, -0.3, 0.7, 1.5]),
+       record_every=st.sampled_from([0, 1, 7]), n_steps=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1))
+def test_evolve_matches_frozen_oracle_bit_for_bit(n, name, N, m, scale,
+                                                  forcing, record_every,
+                                                  n_steps, seed):
+    """The in-place loop does the allocating loop's arithmetic in its
+    order: the same times and states bit for bit, each state a copy of
+    its own, and step_explicit is the oracle's one step."""
+    g = Grid(n, N if n == 1 else min(N, 10))
+    rng = np.random.default_rng(seed)
+    x = g.coords()
+    vals = np.zeros(g.shape)
+    for k in (1, 2, 3):
+        for i in range(n):
+            vals += (rng.normal() / k
+                     * np.sin(2 * np.pi * k * x[..., i] + rng.uniform(0, 7)))
+    u0 = GridFunction(g, 0.1 * vals)
+    W_m = MollifiedAnisotropy(make_anisotropy(name, n), m)
+    law = SpeedLaw(scale, forcing)
+    cfg = EvolutionConfig(t_end=n_steps * stable_dt(g, W_m, law, 0.4),
+                          record_every=record_every)
+    tr = evolve(u0, W_m, law, cfg)
+    times, states = _oracle_evolve(u0, W_m, law, cfg)
+    assert tr.times == times and tr.wall_s > 0
+    assert len(tr.states) == len(states) == len(tr.lipschitz)
+    for got, want in zip(tr.states, states):
+        assert np.array_equal(got.values, want.values)
+    arrays = [u0.values] + [s.values for s in tr.states]
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                   for b in arrays[i + 1:])
+    one = step_explicit(u0, W_m, law, tr.dt)
+    assert np.array_equal(one.values, _oracle_step(u0, W_m, law, tr.dt).values)
