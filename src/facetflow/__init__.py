@@ -11,13 +11,11 @@ difference-quotient curvature (`resolvent`), explicit evolution schemes
 
 from .grid import (Grid, GridFunction, GridVectorField, GridMismatchError,
                    forward_gradient, backward_divergence, gradient_centered,
-                   erode, dilate, mollify, lipschitz_constant,
-                   torus_distance)
+                   mollify, lipschitz_constant)
 from .anisotropy import (AnisotropyModel, EuclideanAnisotropy,
                          EllipticAnisotropy, PowerFourAnisotropy,
                          MollifiedAnisotropy, SingularGradientError,
-                         wulff_membership, subdifferential_contains,
-                         k_operator, make_anisotropy)
+                         make_anisotropy)
 from .conjugate import (SampledConvexFunction, legendre_transform,
                         BarrierFamily, build_barrier, beta_Aq,
                         choose_parameters, BarrierConstructionError,
@@ -28,14 +26,12 @@ from .facets import (PairOfSets, PairDisjointError, SeparationError,
                      smooth_pair_between, SupportFunctionCertificate,
                      support_from_smooth_pair, admissibility_check,
                      ordered_support_function)
-from .resolvent import (ResolventConfig, ResolventReport,
-                        total_variation_energy, resolve_singular,
+from .resolvent import (ResolventConfig, ResolventReport, resolve_singular,
                         resolvent_bruteforce, curvature_dq, essinf_ball,
-                        esssup_ball, facet_interior, monotonicity_check)
+                        monotonicity_check)
 from .evolution import (SpeedLaw, StabilityError, tv_flow, EvolutionConfig,
                         EvolutionTrace, evolve, stable_dt, step_explicit,
-                        sample_state, comparison_harness, lipschitz_monitor,
-                        m_refinement_study, conventional_test_residual,
-                        faceted_test_residual)
+                        comparison_harness, lipschitz_monitor,
+                        m_refinement_study, faceted_test_residual)
 
 __version__ = "0.1.0"

@@ -1,9 +1,8 @@
 """Anisotropy models: one-homogeneous convex densities and their calculus.
 
 Provides evaluation of W, its gradient and Hessian away from the origin,
-the dual norm, membership tests for the dual unit set and the
-subdifferential, the local curvature operator trace[Hess(W) X], and the
-mollified regularizations with a quadratic term.
+the dual norm and the Euclidean projection onto its unit ball (the Wulff
+set), and the mollified regularizations with a quadratic term.
 """
 
 from __future__ import annotations
@@ -290,29 +289,6 @@ class PowerFourAnisotropy(AnisotropyModel):
         return _emit(res, shape, out)
 
 
-def wulff_membership(W: AnisotropyModel, z, tol: float = 1e-9) -> bool:
-    """True iff z lies in the Wulff set {W° <= 1} up to tol."""
-    return float(W.gauge(np.atleast_1d(np.asarray(z, float)))) <= 1.0 + tol
-
-
-def subdifferential_contains(W: AnisotropyModel, p, z, tol: float = 1e-9) -> bool:
-    """Membership z in dW(p): gradient match for p != 0, Wulff test at p = 0."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.all(p == 0.0):
-        return wulff_membership(W, z, tol)
-    g = W.grad(p)
-    return bool(np.max(np.abs(z - g)) <= tol)
-
-
-def k_operator(W: AnisotropyModel, p, X) -> float:
-    """Local curvature operator trace[Hess(W)(p) X], p != 0."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    H = W.hess(p)
-    return float(np.sum(H * X))
-
-
 @functools.lru_cache(maxsize=64)
 def _quadrature_table(n, m, k):
     """The W_m quadrature of dimension n, index m and k midpoints an axis:
@@ -364,8 +340,14 @@ def _quadrature_table(n, m, k):
         # gradient and hessian columns c
         y = r[:, 0] / m
         c = np.stack([w, G[:, 0], H[:, 0, 0]], axis=-1)
-        sums = (y,) + tuple(np.concatenate([np.zeros((1, 3)), np.cumsum(
-            v, axis=0)]) for v in (c, c * y[:, None]))
+        C, S = (np.concatenate([np.zeros((1, 3)), np.cumsum(v, axis=0)])
+                for v in (c, c * y[:, None]))
+        # the derivative columns' totals (0) and first moments (-1 for the
+        # gradient, 0 for the hessian) are exact, not summed with roundoff
+        # that would grow with |p| beyond the last node
+        C[-1, 1:] = 0.0
+        S[-1, 1:] = (-1.0, 0.0)
+        sums = (y, C, S)
     for a in (nodes, w_val, dw, y_val, y_der) + sums:
         a.setflags(write=False)
     return nodes, s, y_val, (w_val,), y_der, tuple(dw), sums

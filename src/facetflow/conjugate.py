@@ -252,10 +252,6 @@ class BarrierFamily:
         return ConjugateSolution(val, p, np.linalg.inv(H), Hm,
                                  np.sqrt(np.sum((x - g)**2, axis=-1)))
 
-    def operator_Lm(self, x):
-        """trace[Hess(W_m)(grad conj)(x) Hess(conj)(x)] at sampled x."""
-        return self.conjugate(x, with_derivatives=True).Lm
-
 
 def _newton_tol(x):
     """Residual |x - grad capped(p)| at which the conjugate Newton stops."""

@@ -84,28 +84,18 @@ class EvolutionTrace:
         return self.states[-1]
 
 
-def _divergence(v, h, W_m, gr=None, out=None) -> np.ndarray:
-    """div grad W_m(grad v) of a node array in conservative form (the
-    forward/backward pair), through the gradient buffer gr and into out
-    when they are given."""
-    gr = forward_gradient(v, h, out=gr)
-    flux = W_m.grad(gr.reshape(-1, v.ndim)).reshape(gr.shape)
-    return backward_divergence(flux, h, out=out)
-
-
 def _step(v, h, W_m, speed: SpeedLaw, dt: float, gr=None, div=None):
     """One forward Euler step of the node array v, in place: v += dt (s L_m v
-    - c) for the law F = -s xi + c."""
-    div = _divergence(v, h, W_m, gr, div)
+    - c) for the law F = -s xi + c, with L_m v = div grad W_m(grad v) in
+    conservative form (the forward/backward pair), through the gradient
+    buffer gr and the divergence buffer div when they are given."""
+    gr = forward_gradient(v, h, out=gr)
+    flux = W_m.grad(gr.reshape(-1, v.ndim)).reshape(gr.shape)
+    div = backward_divergence(flux, h, out=div)
     div *= speed.xi_scale
     div -= speed.forcing
     div *= dt
     v += div
-
-
-def divergence_operator(u: GridFunction, W_m) -> np.ndarray:
-    """div grad W_m(grad u) in conservative form (forward/backward pair)."""
-    return _divergence(u.values, u.grid.h, W_m)
 
 
 def step_explicit(u: GridFunction, W_m, speed: SpeedLaw, dt: float) -> GridFunction:
@@ -175,12 +165,6 @@ def evolve(u0: GridFunction, W_m, speed: SpeedLaw,
     return trace
 
 
-def sample_state(trace: EvolutionTrace, t: float) -> GridFunction:
-    """Recorded state nearest to time t."""
-    times = np.asarray(trace.times)
-    return trace.states[int(np.argmin(np.abs(times - t)))]
-
-
 def comparison_harness(u0_lo: GridFunction, u0_hi: GridFunction, W_m,
                        speed: SpeedLaw, config: EvolutionConfig) -> dict:
     """Evolve an ordered pair with one shared scheme and report crossings."""
@@ -216,13 +200,6 @@ def m_refinement_study(u0: GridFunction, W, speed: SpeedLaw, t_end: float,
     gaps = [float(np.max(np.abs(a.values - b.values)))
             for a, b in zip(finals, finals[1:])]
     return {"gaps": gaps, "finals": finals}
-
-
-def conventional_test_residual(phi_t: float, p, xi, speed: SpeedLaw) -> float:
-    """Residual phi_t + F(grad phi, k) of a smooth test at a touching point."""
-    p = np.atleast_2d(np.asarray(p, dtype=float))
-    val = float(np.asarray(speed(p, np.atleast_1d(np.asarray(xi, float))))[0])
-    return phi_t + val
 
 
 def faceted_test_residual(g_prime: float, psi: GridFunction, W, x0,

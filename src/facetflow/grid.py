@@ -1,8 +1,8 @@
 """Periodic uniform grids on the unit n-torus and their basic calculus.
 
-Holds the discrete stand-ins for scalar fields and vector fields, the
-wrap-around metric, forward/backward difference calculus (exact adjoints),
-grey-scale morphology (erosion/dilation over grid balls) and mollification.
+Holds the discrete stand-ins for scalar fields and vector fields,
+forward/backward difference calculus (exact adjoints), the graded-ball
+dilation of node arrays and masks, and mollification.
 """
 
 from __future__ import annotations
@@ -55,15 +55,6 @@ class Grid:
         return np.stack([m[sel] for m in mesh], axis=-1)
 
 
-def torus_distance(x, y) -> float:
-    """Distance on the unit torus: min over integer shifts."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    d = np.abs(x - y) % 1.0
-    d = np.minimum(d, 1.0 - d)
-    return float(np.sqrt(np.sum(d**2)))
-
-
 @dataclass
 class GridFunction:
     """Real scalar field on a grid, stored on one fundamental domain."""
@@ -104,11 +95,6 @@ class GridVectorField:
                 f"values shape {self.values.shape} != {self.grid.shape + (self.grid.n,)}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("GridVectorField values must be finite")
-
-
-def _check_same_grid(a, b):
-    if a.grid != b.grid:
-        raise GridMismatchError("operands live on different grids")
 
 
 def _axis_slices(i):
@@ -182,25 +168,6 @@ def dilate_cells(v: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _radius_cells(grid: Grid, eta: float, what: str) -> int:
-    """Whole cells in a radius eta, rounded down."""
-    if eta < 0:
-        raise ValueError(f"{what} radius must be nonnegative, got {eta}")
-    return int(np.floor(eta / grid.h + 1e-9))
-
-
-def erode(u: GridFunction, eta: float) -> GridFunction:
-    """Pointwise infimum of u over the closed grid ball of radius eta."""
-    k = _radius_cells(u.grid, eta, "erosion")
-    return GridFunction(u.grid, -dilate_cells(-u.values, k))
-
-
-def dilate(u: GridFunction, eta: float) -> GridFunction:
-    """Pointwise supremum of u over the closed grid ball of radius eta."""
-    k = _radius_cells(u.grid, eta, "dilation")
-    return GridFunction(u.grid, dilate_cells(u.values, k))
-
-
 def bump(r2):
     """Unnormalized bump exp(-1 / (1 - r2)) of a squared radius, 0 for r2 >= 1."""
     return np.where(r2 < 1.0, np.exp(-1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
@@ -222,10 +189,6 @@ def mollify(u: GridFunction, radius: float) -> GridFunction:
 def lipschitz_constant(u: GridFunction) -> float:
     """Max magnitude of the discrete (forward-difference) gradient."""
     g = forward_gradient(u.values, u.grid.h)
-    return float(np.max(np.sqrt(np.sum(g**2, axis=-1))))
-
-
-def inner(u: GridFunction, v: GridFunction) -> float:
-    """L2 inner product with the cell volume weight h^n."""
-    _check_same_grid(u, v)
-    return float(np.sum(u.values * v.values)) * u.grid.h**u.grid.n
+    # |g| without squaring, so gradients past 1e154 do not overflow
+    mag = np.hypot(g[..., 0], g[..., 1]) if u.grid.n == 2 else np.abs(g)
+    return float(np.max(mag))

@@ -21,7 +21,6 @@ from .grid import (GridFunction, GridVectorField, backward_divergence,
                    forward_gradient)
 
 _GAP_CHECK_EVERY = 25    # PD iterations between duality-gap evaluations
-_FACET_SLOPE_FRAC = 0.05  # facet_interior: largest slope, share of Lip(psi)
 
 
 @dataclass
@@ -47,12 +46,6 @@ class ResolventReport:
     def converged(self) -> bool:
         """The solve is certified: a finite duality gap within tolerance."""
         return bool(np.isfinite(self.gap) and self.gap <= self.gap_tol)
-
-
-def total_variation_energy(u: GridFunction, W) -> float:
-    """Discrete anisotropic total variation sum h^n W(grad u)."""
-    g = forward_gradient(u.values, u.grid.h)
-    return float(np.sum(W.eval(g))) * u.grid.h**u.grid.n
 
 
 def resolve_singular(psi: GridFunction, W, config: ResolventConfig):
@@ -195,14 +188,6 @@ def curvature_dq(psi: GridFunction, W, a: float, **kw):
 
 def essinf_ball(u: GridFunction, x0, delta: float) -> float:
     """Infimum of u over the closed Euclidean torus ball B_delta(x0)."""
-    return _ball_extreme(u, x0, delta, np.min)
-
-
-def esssup_ball(u: GridFunction, x0, delta: float) -> float:
-    return _ball_extreme(u, x0, delta, np.max)
-
-
-def _ball_extreme(u: GridFunction, x0, delta, reduce):
     g = u.grid
     if delta < 0:
         raise ValueError("ball radius must be nonnegative")
@@ -210,21 +195,7 @@ def _ball_extreme(u: GridFunction, x0, delta, reduce):
     center = np.round(x0 / g.h).astype(int) % g.N
     offs = g.euclidean_ball_offsets(delta)
     idx = (center[None, :] + offs) % g.N
-    return float(reduce(u.values[tuple(idx[:, i] for i in range(g.n))]))
-
-
-def facet_interior(psi: GridFunction, level: float = 0.0) -> np.ndarray:
-    """Mask of nodes on the flat part of the level facet of psi.
-
-    A node belongs to the facet interior when psi is within a cell-height
-    of the level and the forward gradient is below _FACET_SLOPE_FRAC
-    times the Lipschitz constant of psi.
-    """
-    g = forward_gradient(psi.values, psi.grid.h)
-    slopes = np.sqrt(np.sum(g**2, axis=-1))
-    lip = max(float(np.max(slopes)), 1e-15)
-    near = np.abs(psi.values - level) <= psi.grid.h * max(lip, 1.0)
-    return near & (slopes <= _FACET_SLOPE_FRAC * lip)
+    return float(np.min(u.values[tuple(idx[:, i] for i in range(g.n))]))
 
 
 def monotonicity_check(psi_lo: GridFunction, psi_hi: GridFunction, W, a: float,

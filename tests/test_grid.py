@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from facetflow.facets import rho_neighborhood
 from facetflow.grid import (Grid, GridFunction, GridMismatchError,
-                            backward_divergence, dilate, erode,
-                            forward_gradient, gradient_centered,
-                            lipschitz_constant, mollify, torus_distance)
+                            GridVectorField, backward_divergence,
+                            dilate_cells, forward_gradient,
+                            gradient_centered, lipschitz_constant, mollify)
 
 
 def test_grid_basic_geometry():
@@ -30,12 +30,6 @@ def test_grid_rejects_bad_arguments():
         Grid(3, 64)
     with pytest.raises(ValueError):
         Grid(1, 4)
-
-
-def test_torus_distance_wraps():
-    assert torus_distance(np.array([0.1]), np.array([0.9])) == pytest.approx(0.2)
-    d = torus_distance(np.array([0.05, 0.05]), np.array([0.95, 0.5]))
-    assert d == pytest.approx(np.hypot(0.1, 0.45))
 
 
 def test_gridfunction_rejects_nonfinite():
@@ -68,22 +62,26 @@ def test_gradient_centered_exact_on_sine():
 
 
 def test_erode_dilate_order():
-    g = Grid(2, 32)
+    """Grey erosion (the negative dual of dilate_cells) lies below the
+    values and dilation above them."""
     rng = np.random.default_rng(9)
-    u = GridFunction(g, rng.standard_normal(g.shape))
-    lo = erode(u, 2 * g.h)
-    hi = dilate(u, 2 * g.h)
-    assert np.all(lo.values <= u.values + 1e-15)
-    assert np.all(u.values <= hi.values + 1e-15)
+    v = rng.standard_normal((32, 32))
+    assert np.all(-dilate_cells(-v, 2) <= v)
+    assert np.all(v <= dilate_cells(v, 2))
 
 
 def test_erode_dilate_duality():
+    """The two duals agree: thresholding the grey erosion (negative dual)
+    or dilation of v gives the mask erosion (complementary dual) or
+    dilation of the thresholded v, at every level."""
     g = Grid(2, 32)
-    rng = np.random.default_rng(11)
-    u = GridFunction(g, rng.standard_normal(g.shape))
-    a = erode(u, 3 * g.h).values
-    b = -dilate(GridFunction(g, -u.values), 3 * g.h).values
-    assert np.allclose(a, b, atol=1e-14)
+    v = np.random.default_rng(11).standard_normal(g.shape)
+    for t in (-1.0, 0.0, 0.5):
+        up = v > t
+        assert np.array_equal(-dilate_cells(-v, 3) > t,
+                              rho_neighborhood(g, up, -3 * g.h))
+        assert np.array_equal(dilate_cells(v, 3) > t,
+                              rho_neighborhood(g, up, 3 * g.h))
 
 
 def _ball_max(v, k):
@@ -98,16 +96,14 @@ def _ball_max(v, k):
 @settings(max_examples=60, deadline=None)
 @given(n=st.sampled_from([1, 2]), N=st.integers(8, 32), data=st.data())
 def test_dilation_is_max_over_graded_ball(n, N, data):
-    """dilate, erode and rho_neighborhood against a brute-force max over
-    the shifts in the l1 ball, grid balls wider than the torus included."""
+    """dilate_cells on grey values and rho_neighborhood on masks against
+    a brute-force max over the shifts in the l1 ball, grid balls wider
+    than the torus included."""
     k = data.draw(st.integers(0, N + 3), label="k")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = Grid(n, N)
-    u = GridFunction(g, rng.standard_normal(g.shape))
-    up = dilate(u, k * g.h).values
-    assert np.array_equal(up, _ball_max(u.values, k))
-    down = erode(u, k * g.h).values
-    assert np.array_equal(down, -dilate(GridFunction(g, -u.values), k * g.h).values)
+    v = rng.standard_normal(g.shape)
+    assert np.array_equal(dilate_cells(v, k), _ball_max(v, k))
     mask = rng.random(g.shape) < 0.3
     assert np.array_equal(rho_neighborhood(g, mask, k * g.h), _ball_max(mask, k))
 
@@ -148,12 +144,36 @@ def test_lipschitz_constant_of_known_slope():
     assert lipschitz_constant(u) == pytest.approx(0.5, abs=1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2]), e=st.integers(0, 996),
+       seed=st.integers(0, 2**32 - 1))
+def test_lipschitz_constant_scales_without_overflow(n, e, seed):
+    """lipschitz_constant(c u) = c lipschitz_constant(u) for amplitudes c
+    up to 2^996 ~ 6.7e299, whose squared gradients would overflow; c is a
+    power of two, so c u and its differences are exact, and the 1D norm
+    is too."""
+    g = Grid(n, 16)
+    v = np.random.default_rng(seed).standard_normal(g.shape)
+    c = 2.0 ** e
+    lip = lipschitz_constant(GridFunction(g, v))
+    big = lipschitz_constant(GridFunction(g, c * v))
+    assert np.isfinite(big)
+    if n == 1:
+        assert big == c * lip
+    else:
+        assert big == pytest.approx(c * lip, rel=1e-15, abs=0.0)
+
+
 def test_mismatched_grids_raise():
-    from facetflow.grid import inner
-    u = GridFunction(Grid(1, 16), np.zeros(16))
-    v = GridFunction(Grid(1, 32), np.zeros(32))
+    """Values of another grid's shape are refused, for scalar and vector
+    fields alike."""
+    g = Grid(1, 16)
     with pytest.raises(GridMismatchError):
-        inner(u, v)
+        GridFunction(g, np.zeros(32))
+    with pytest.raises(GridMismatchError):
+        GridVectorField(g, np.zeros((32, 1)))
+    with pytest.raises(GridMismatchError):
+        GridVectorField(Grid(2, 16), np.zeros((16, 16, 1)))
 
 
 def test_mollify_preserves_mean():

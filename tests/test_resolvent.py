@@ -8,10 +8,8 @@ from facetflow.anisotropy import (EllipticAnisotropy, EuclideanAnisotropy,
                                   make_anisotropy)
 from facetflow.grid import Grid, GridFunction
 from facetflow.resolvent import (ResolventConfig, curvature_dq, essinf_ball,
-                                 esssup_ball, facet_interior,
                                  monotonicity_check, resolve_singular,
-                                 resolvent_bruteforce,
-                                 total_variation_energy)
+                                 resolvent_bruteforce)
 
 
 def _tent(g, slope=0.5):
@@ -24,14 +22,6 @@ def _tent(g, slope=0.5):
 def test_resolvent_config_rejects_nonpositive_or_nan_scale(a):
     with pytest.raises(ValueError):
         ResolventConfig(a=a)
-
-
-def test_total_variation_energy_of_tent():
-    g = Grid(1, 256)
-    u = _tent(g, 0.5)
-    # |u'| = 1/2 on the whole circle, so the energy is 1/2
-    assert total_variation_energy(u, EuclideanAnisotropy(1)) == \
-        pytest.approx(0.5, rel=1e-10)
 
 
 def test_resolvent_tent_closed_form():
@@ -107,22 +97,14 @@ def test_curvature_dq_of_1d_facet():
 
 
 def test_essinf_esssup_ball():
+    """essinf over balls, and esssup as minus the essinf of -u."""
     g = Grid(1, 64)
     u = GridFunction(g, np.sin(2 * np.pi * g.coords()[..., 0]))
     x0 = np.array([0.25])
     assert essinf_ball(u, x0, 3 * g.h) <= 1.0
-    assert esssup_ball(u, x0, 3 * g.h) == pytest.approx(1.0, abs=0.05)
+    sup = -essinf_ball(GridFunction(g, -u.values), x0, 3 * g.h)
+    assert sup == pytest.approx(1.0, abs=0.05)
     assert essinf_ball(u, x0, 10 * g.h) <= essinf_ball(u, x0, 3 * g.h)
-
-
-def test_facet_interior_finds_plateau():
-    g = Grid(1, 256)
-    x = g.coords()[..., 0]
-    d = np.minimum(np.abs(x - 0.5), 1 - np.abs(x - 0.5))
-    psi = GridFunction(g, np.clip(0.1 + 0.05 - d, 0, 0.05))
-    mask = facet_interior(psi, float(np.max(psi.values)))
-    assert np.sum(mask) > 0
-    assert np.all(psi.values[mask] == np.max(psi.values))
 
 
 def test_resolvent_certified_for_rotated_elliptic_model():
